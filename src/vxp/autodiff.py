@@ -346,6 +346,37 @@ def scatter_rows(a: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
     return _finish(out, (a,), lambda g: (g[idx],))
 
 
+def rulebook_matmul(a: Tensor, kernel: Tensor,
+                    rules: Sequence[tuple[np.ndarray, np.ndarray]],
+                    num_rows: int) -> Tensor:
+    """Sum over offsets d of a[in_d] @ W_d scattered into rows out_d.
+
+    kernel is (len(rules) * c_in, c_out) with W_d its d-th block of c_in rows.
+    Within one offset every row of in_d and of out_d appears at most once,
+    so plain indexed adds are exact: no pad row, no np.add.at.
+    """
+    av, kv = a.values, kernel.values
+    if av.ndim != 2 or kv.ndim != 2 or kv.shape[0] != len(rules) * av.shape[1]:
+        raise ShapeMismatch(f"rulebook_matmul: {a.shape} with {len(rules)} offsets "
+                            f"and kernel {kernel.shape}")
+    c_in = av.shape[1]
+    blocks = [kv[d * c_in:(d + 1) * c_in] for d in range(len(rules))]
+    out = np.zeros((num_rows, kv.shape[1]))
+    for (i, o), w in zip(rules, blocks):
+        out[o] += av[i] @ w
+
+    def grad_fn(g):
+        ga = np.zeros_like(av)
+        gk = np.empty_like(kv)
+        for d, ((i, o), w) in enumerate(zip(rules, blocks)):
+            go = g[o]
+            ga[i] += go @ w.T
+            gk[d * c_in:(d + 1) * c_in] = av[i].T @ go
+        return ga, gk
+
+    return _finish(out, (a, kernel), grad_fn)
+
+
 def segment_max(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Per-segment column-wise max of an (n, d) matrix.
 

@@ -123,12 +123,15 @@ def voxelize(cloud: PointCloud, config: VoxelGridConfig, seed: int) -> VoxelGrid
     t = uniq.shape[0]
     blocks = np.zeros((t, m, 3))
     valid = np.minimum(counts, m).astype(np.int64)
-    for v in range(t):
-        rows = order[starts[v]:starts[v] + counts[v]]
-        if counts[v] > m:
-            pick = np.sort(rng.choice(counts[v], size=m, replace=False))
-            rows = rows[pick]
-        blocks[v, :rows.shape[0]] = pts[rows]
+    # voxels with at most m points keep all of them, in sorted order
+    seg = np.repeat(np.arange(t), counts)
+    slot = np.arange(seg.shape[0]) - starts[seg]
+    fits = counts[seg] <= m
+    blocks[seg[fits], slot[fits]] = pts[order[fits]]
+    # overfull voxels draw a subset, in ascending voxel order
+    for v in np.flatnonzero(counts > m):
+        pick = np.sort(rng.choice(counts[v], size=m, replace=False))
+        blocks[v] = pts[order[starts[v] + pick]]
 
     cz = uniq % dims[2]
     cy = (uniq // dims[2]) % dims[1]

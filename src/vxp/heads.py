@@ -2,10 +2,11 @@
 
 The image encoder is a small convolutional stack whose only hard contract is
 the feature geometry: an H x W input yields an (H//8) x (W//8) x D map, which
-the voxel-to-pixel projection and local loss rely on. Three non-overlapping
-2x2 stride-2 patch convolutions realize the exact floor division for odd
-sizes too. Pooling is generalized-mean (learnable exponent) followed by a
-fully-connected projection to the shared descriptor dimension.
+the voxel-to-pixel projection and local loss rely on. Three overlapping
+3x3 stride-2 patch convolutions (padding 1 on the low side only) realize
+the exact floor division for odd sizes too. Pooling is generalized-mean
+(learnable exponent) followed by a fully-connected projection to the shared
+descriptor dimension.
 
 Descriptors are intentionally NOT L2-normalized: the global alignment loss
 regresses raw vectors, and retrieval uses the same raw geometry.

@@ -11,12 +11,15 @@ Sparse convolution semantics match a dense convolution with zero padding
 receptive field touches at least one non-empty input. Coordinate planning is
 separated from the numeric pass so per-sample plans can be reused across
 training steps (active sites depend only on occupancy, never on weights).
+A plan is a rulebook: for each of the k^3 kernel offsets, the (input row,
+output row) pairs that exist, found from the input side without looking up
+any coordinate. The numeric pass multiplies only those pairs, one matmul per
+offset, so empty neighbours cost nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -28,9 +31,6 @@ from .geometry import VoxelGrid
 
 # sparse_to_dense refuses to allocate more than this many float64 values
 DENSE_CELL_CAP = 64_000_000
-
-# coordinate lookups use a flat table up to this many grid cells, a dict above
-_LUT_CELL_CAP = 8_000_000
 
 
 @dataclass
@@ -111,9 +111,8 @@ def vfe_encode(grid: VoxelGrid, params: VFEParams) -> SparseFeatureMap:
 
     counts = grid.valid_counts
     seg_ids = np.repeat(np.arange(t), counts)
-    row_idx = np.concatenate([
-        np.arange(c) + v * grid.points.shape[1] for v, c in enumerate(counts)
-    ])
+    starts = np.cumsum(counts) - counts
+    row_idx = np.arange(seg_ids.shape[0]) - starts[seg_ids] + seg_ids * grid.points.shape[1]
     flat_points = Tensor(grid.points.reshape(-1, 3)[row_idx])
 
     h = ad.relu(ad.add_rowvec(ad.matmul(flat_points, params.w1), params.b1))
@@ -171,104 +170,71 @@ def init_conv_layer(c_in: int, c_out: int, kernel_size: int, stride: int,
                            kernel_size=kernel_size, stride=stride)
 
 
-class _CoordLookup:
-    """coord triple -> row index, flat table for small grids, dict otherwise."""
-
-    def __init__(self, coords: np.ndarray, dims: np.ndarray):
-        self.dims = dims
-        flat = (coords[:, 0] * dims[1] + coords[:, 1]) * dims[2] + coords[:, 2]
-        if int(np.prod(dims)) <= _LUT_CELL_CAP:
-            self.table = np.full(int(np.prod(dims)), -1, dtype=np.int64)
-            self.table[flat] = np.arange(coords.shape[0])
-            self.map = None
-        else:
-            self.table = None
-            self.map = {int(f): i for i, f in enumerate(flat)}
-
-    def lookup(self, coords: np.ndarray) -> np.ndarray:
-        """Row indices for (n, 3) candidate coords; -1 where absent."""
-        dims = self.dims
-        inside = np.all(coords >= 0, axis=1) & np.all(coords < dims, axis=1)
-        flat = (coords[:, 0] * dims[1] + coords[:, 1]) * dims[2] + coords[:, 2]
-        out = np.full(coords.shape[0], -1, dtype=np.int64)
-        if self.table is not None:
-            sel = np.nonzero(inside)[0]
-            out[sel] = self.table[flat[sel]]
-        else:
-            for i in np.nonzero(inside)[0]:
-                out[i] = self.map.get(int(flat[i]), -1)
-        return out
-
-
 @dataclass
 class ConvPlan:
     """Reusable coordinate routing for one layer applied to one active set.
 
-    patch_rows[o, d] holds the input row feeding output site o through
-    kernel offset d, or num_inputs for "empty" (a zero pad row).
+    rules[d] = (in_rows, out_rows) lists every pair in which input row
+    in_rows[j] feeds output row out_rows[j] through kernel offset d
+    (offset-major, d = (dx * k + dy) * k + dz). Within one offset each input
+    row and each output row appears at most once; empty neighbours have no
+    pair at all.
     """
 
     out_coords: np.ndarray
     out_dims: tuple[int, int, int]
-    patch_rows: np.ndarray  # (T_out, k^3) int64
-    num_inputs: int
+    rules: list[tuple[np.ndarray, np.ndarray]]
 
 
 def plan_sparse_conv(in_coords: np.ndarray, in_dims, kernel_size: int,
                      stride: int) -> ConvPlan:
-    """Determine active output sites and their input rows per kernel offset.
+    """Determine active output sites and the per-offset rulebook.
 
-    An output site o is active when any input site i = o*stride + d - pad is
-    occupied for some kernel offset d; this is exactly the dense-conv
-    receptive-field criterion.
+    Planned from the input side: input site i feeds output site o through
+    kernel offset d when i = o*stride + d - pad on every axis. An output site
+    is active when at least one such pair exists, which is exactly the
+    dense-conv receptive-field criterion. No input coordinate is looked up.
     """
-    in_dims = np.asarray(in_dims, dtype=np.int64)
-    pad = (kernel_size - 1) // 2
-    out_dims = tuple(int(-(-d // stride)) for d in in_dims)
-    out_dims_arr = np.asarray(out_dims, dtype=np.int64)
+    in_coords = np.asarray(in_coords, dtype=np.int64)
+    k, pad = kernel_size, (kernel_size - 1) // 2
+    out_dims = tuple(int(-(-int(d) // stride)) for d in in_dims)
+    place = (out_dims[1] * out_dims[2], out_dims[2], 1)
 
-    offsets = np.array(list(product(range(kernel_size), repeat=3)), dtype=np.int64)
+    # per axis, the output coordinate each input reaches through each tap;
+    # broadcasting the three axes gives (k, k, k, T) fits and flat output keys
+    fit, key = True, 0
+    for axis in range(3):
+        reach = in_coords[:, axis] + pad - np.arange(k)[:, None]  # (k, T)
+        o = reach // stride
+        shape = [1, 1, 1, -1]
+        shape[axis] = k
+        fit = fit & ((reach % stride == 0) & (o >= 0) & (o < out_dims[axis])).reshape(shape)
+        key = key + (o * place[axis]).reshape(shape)
+    fit, key = fit.reshape(k ** 3, -1), key.reshape(k ** 3, -1)
 
-    # candidate outputs from every (input, offset) pair with exact stride fit
-    cand = in_coords[:, None, :] + pad - offsets[None, :, :]  # (T, k^3, 3)
-    fits = np.all(cand % stride == 0, axis=2)
-    cand = cand // stride
-    fits &= np.all(cand >= 0, axis=2) & np.all(cand < out_dims_arr, axis=2)
-    flat_out = (cand[:, :, 0] * out_dims_arr[1] + cand[:, :, 1]) * out_dims_arr[2] + cand[:, :, 2]
-    active_flat = np.unique(flat_out[fits])
-
-    oz = active_flat % out_dims_arr[2]
-    oy = (active_flat // out_dims_arr[2]) % out_dims_arr[1]
-    ox = active_flat // (out_dims_arr[1] * out_dims_arr[2])
-    out_coords = np.stack([ox, oy, oz], axis=1).astype(np.int64)
-
-    lookup = _CoordLookup(in_coords, in_dims)
-    t_in = in_coords.shape[0]
-    patch_rows = np.empty((out_coords.shape[0], offsets.shape[0]), dtype=np.int64)
-    base = out_coords * stride - pad
-    for d_flat, offset in enumerate(offsets):
-        in_rows = lookup.lookup(base + offset)
-        patch_rows[:, d_flat] = np.where(in_rows >= 0, in_rows, t_in)
-    return ConvPlan(out_coords=out_coords, out_dims=out_dims,
-                    patch_rows=patch_rows, num_inputs=t_in)
+    offset_idx, in_rows = np.nonzero(fit)
+    active_flat, out_rows = np.unique(key[fit], return_inverse=True)
+    bounds = np.searchsorted(offset_idx, np.arange(k ** 3 + 1))
+    rules = [(in_rows[a:b], out_rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    out_coords = np.stack(np.unravel_index(active_flat, out_dims), axis=1).astype(np.int64)
+    return ConvPlan(out_coords=out_coords, out_dims=out_dims, rules=rules)
 
 
 def apply_sparse_conv(feature_map: SparseFeatureMap, layer: SparseConvLayer,
                       plan: ConvPlan) -> SparseFeatureMap:
     """Numeric pass of a planned sparse convolution.
 
-    Active-site patches are gathered into a (T_out, k^3 * c_in) matrix
-    (empty cells hit the zero pad row) so the whole layer is one matmul.
+    Each kernel offset multiplies only the input rows its rulebook lists and
+    adds the products into the output rows it lists, so no empty neighbour
+    is ever multiplied.
     """
     c_in = feature_map.feature_dim
     if c_in != layer.c_in:
         raise ChannelMismatch(f"layer expects {layer.c_in} channels, map has {c_in}")
     t_out = plan.out_coords.shape[0]
-    k3 = layer.kernel_size ** 3
-    padded = ad.pad_zero_row(feature_map.feats)
-    patches = ad.reshape(ad.gather_rows(padded, plan.patch_rows.ravel()),
-                         (t_out, k3 * c_in))
-    out_feats = ad.add_rowvec(ad.matmul(patches, layer.kernel), layer.bias)
+    out_feats = ad.add_rowvec(
+        ad.rulebook_matmul(feature_map.feats, layer.kernel, plan.rules, t_out),
+        layer.bias)
     eff = tuple(float(s) * layer.stride for s in feature_map.effective_voxel_size)
     return SparseFeatureMap(
         coords=plan.out_coords,
@@ -281,9 +247,6 @@ def apply_sparse_conv(feature_map: SparseFeatureMap, layer: SparseConvLayer,
 
 def sparse_conv3d(feature_map: SparseFeatureMap, layer: SparseConvLayer) -> SparseFeatureMap:
     """Standard sparse 3D convolution over the active set (plans internally)."""
-    if feature_map.feature_dim != layer.c_in:
-        raise ChannelMismatch(
-            f"layer expects {layer.c_in} channels, map has {feature_map.feature_dim}")
     plan = plan_sparse_conv(feature_map.coords, feature_map.grid_dims,
                             layer.kernel_size, layer.stride)
     return apply_sparse_conv(feature_map, layer, plan)

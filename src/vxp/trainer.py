@@ -382,9 +382,11 @@ def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
                            backbone: sparse3d.BackboneParams,
                            encoder: heads.ImageEncoderParams,
                            image_head: heads.GemFcnParams,
-                           need_projection: bool) -> tuple[list, list[int], int]:
+                           with_head: bool) -> tuple[list, list[int], int]:
     """Voxelize, plan convolutions and cache frozen image outputs per sample.
 
+    The global stage (with_head) keeps each image descriptor; the local stage
+    keeps each image feature map and the voxel projection into it.
     Returns (prepared or None per sample, usable indices, skipped count).
     """
     prepared: list[_PreparedSample | None] = []
@@ -401,14 +403,15 @@ def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
 
         image = s.image[..., None] if s.image.ndim == 2 else s.image
         fmap = heads.image_encode(image, encoder)
-        fmap = heads.ImageFeatureMap(width=fmap.width, height=fmap.height,
-                                     channels=fmap.channels,
-                                     feats=Tensor(fmap.feats.values))
-        desc = heads.fcn_project(heads.gem_pool(fmap.feats, image_head.p),
-                                 image_head, "image", s.sample_id)
 
-        projected = None
-        if need_projection:
+        projected = image_map = desc = None
+        if with_head:
+            desc = heads.fcn_project(heads.gem_pool(fmap.feats, image_head.p),
+                                     image_head, "image", s.sample_id).numpy().copy()
+        else:
+            image_map = heads.ImageFeatureMap(width=fmap.width, height=fmap.height,
+                                              channels=fmap.channels,
+                                              feats=Tensor(fmap.feats.values))
             final_coords = plans.plans[-1].out_coords if plans.plans else grid.coords
             eff = np.asarray(dataset.voxel_config.voxel_size, dtype=float)
             for layer in backbone.layers:
@@ -431,8 +434,7 @@ def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
                 continue
         prepared.append(_PreparedSample(cloud=s.cloud, voxel_seed=voxel_seed,
                                         grid=grid, plans=plans, projected=projected,
-                                        image_map=fmap,
-                                        image_descriptor=desc.numpy().copy()))
+                                        image_map=image_map, image_descriptor=desc))
     usable = [i for i, p in enumerate(prepared) if p is not None]
     return prepared, usable, skipped
 
@@ -473,8 +475,7 @@ def _point_branch_stage(dataset: TrainingSet, image_params: dict[str, Tensor],
     state = AdamState(trainable)
 
     prepared, usable, skipped = _prepare_point_samples(
-        dataset, cfg, backbone, encoder, image_head,
-        need_projection=not with_head)
+        dataset, cfg, backbone, encoder, image_head, with_head)
     if skipped > 0:
         log.info("stage %s: skipped %d unusable pairs", cfg.stage, skipped)
     if skipped > len(dataset.samples) / 2:

@@ -70,6 +70,51 @@ def receptive_field_mask(occupancy, kernel_size, stride):
     return hits[..., 0] > 0.0
 
 
+def occupied_pair_count(in_coords, out_coords, kernel_size, stride):
+    """Number of (output site, kernel offset) pairs whose input cell
+    o*stride + d - pad is occupied, by a Python set lookup per pair."""
+    pad = (kernel_size - 1) // 2
+    occupied = {tuple(int(v) for v in c) for c in in_coords}
+    count = 0
+    for o in out_coords:
+        for dx in range(kernel_size):
+            for dy in range(kernel_size):
+                for dz in range(kernel_size):
+                    cell = (int(o[0]) * stride + dx - pad, int(o[1]) * stride + dy - pad,
+                            int(o[2]) * stride + dz - pad)
+                    count += cell in occupied
+    return count
+
+
+def voxelize_per_voxel(points, range_min, range_max, voxel_size, dims, max_points, seed):
+    """Voxelization with one Python iteration per voxel.
+
+    Returns (blocks, valid_counts, coords). Overfull voxels draw their kept
+    points with rng.choice in ascending flat-index order.
+    """
+    lo = np.asarray(range_min, dtype=float)
+    hi = np.asarray(range_max, dtype=float)
+    size = np.asarray(voxel_size, dtype=float)
+    dims = np.asarray(dims, dtype=np.int64)
+    idx = np.floor((points - lo) / size).astype(np.int64)
+    keep = (np.all(points >= lo, axis=1) & np.all(points < hi, axis=1)
+            & np.all(idx >= 0, axis=1) & np.all(idx < dims, axis=1))
+    pts, idx = points[keep], idx[keep]
+    flat = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
+    order = np.argsort(flat, kind="stable")
+    uniq, starts, counts = np.unique(flat[order], return_index=True, return_counts=True)
+    rng = np.random.default_rng(seed)
+    blocks = np.zeros((uniq.shape[0], max_points, 3))
+    for v in range(uniq.shape[0]):
+        rows = order[starts[v]:starts[v] + counts[v]]
+        if counts[v] > max_points:
+            rows = rows[np.sort(rng.choice(counts[v], size=max_points, replace=False))]
+        blocks[v, :rows.shape[0]] = pts[rows]
+    coords = np.stack([uniq // (dims[1] * dims[2]), (uniq // dims[2]) % dims[1],
+                       uniq % dims[2]], axis=1)
+    return blocks, np.minimum(counts, max_points), coords
+
+
 def brute_force_mining(descriptors, positive_mask, negative_mask, metric="L2"):
     """Per-anchor hardest positive / negative by exhaustive pair search."""
     n = descriptors.shape[0]

@@ -5,6 +5,7 @@ import pytest
 
 from vxp import autodiff as ad
 from vxp.errors import NonFinite, NotScalar, ShapeMismatch
+from vxp.sparse3d import plan_sparse_conv
 
 
 @pytest.fixture(autouse=True)
@@ -172,6 +173,47 @@ def test_primitive_gradients_100_seeds(name, f, shape):
         err = ad.check_gradient(lambda t: f(t, const), ad.Tensor(vals))
         worst = max(worst, err)
     assert worst < 1e-4
+
+
+def _conv_rules(kernel_size, stride, rng):
+    cells = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    coords = cells[np.sort(rng.choice(64, size=6, replace=False))]
+    plan = plan_sparse_conv(coords, (4, 4, 4), kernel_size, stride)
+    return 6, plan.rules, plan.out_coords.shape[0]
+
+
+def _hand_rules(_rng):
+    # three offsets, the middle one with no pairs
+    empty = np.zeros(0, dtype=np.intp)
+    return 3, [(np.array([0, 2]), np.array([1, 0])), (empty, empty),
+               (np.array([1, 2]), np.array([1, 2]))], 3
+
+
+@pytest.mark.parametrize("rules_of", [
+    lambda rng: _conv_rules(1, 1, rng), lambda rng: _conv_rules(1, 2, rng),
+    lambda rng: _conv_rules(3, 1, rng), lambda rng: _conv_rules(3, 2, rng), _hand_rules,
+], ids=["k1s1", "k1s2", "k3s1", "k3s2", "empty_offset"])
+def test_rulebook_matmul_gradients(rules_of):
+    worst = 0.0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        t_in, rules, t_out = rules_of(rng)
+        feats = rng.uniform(0.2, 2.0, size=(t_in, 3))
+        kernel = rng.normal(size=(len(rules) * 3, 2))
+        err_x = ad.check_gradient(
+            lambda t: ad.l2norm(ad.rulebook_matmul(t, ad.Tensor(kernel), rules, t_out)),
+            ad.Tensor(feats))
+        err_w = ad.check_gradient(
+            lambda t: ad.l2norm(ad.rulebook_matmul(ad.Tensor(feats), t, rules, t_out)),
+            ad.Tensor(kernel))
+        worst = max(worst, err_x, err_w)
+    assert worst < 1e-4
+
+
+def test_rulebook_matmul_kernel_shape_checked():
+    with pytest.raises(ShapeMismatch):
+        ad.rulebook_matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))),
+                           [(np.array([0]), np.array([0]))], 1)
 
 
 def test_power_t_gradients_wrt_base_and_exponent():

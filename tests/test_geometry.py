@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import scalar_pinhole
+from oracles import scalar_pinhole, voxelize_per_voxel
 from vxp import geometry as geo
 from vxp.autodiff import Tensor
 from vxp.errors import AllPointsCulled, EmptyCloud, NoVisibleVoxels
@@ -96,6 +96,24 @@ class TestVoxelize:
             got = grid.points[v, :grid.valid_counts[v]]
             want = np.asarray(expected[c])
             assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+
+    @pytest.mark.parametrize("m", [1, 4, 32])
+    def test_matches_per_voxel_loop(self, m):
+        cfg = geo.VoxelGridConfig((0, -2, -2), (4, 2, 2), (0.5, 0.5, 0.5),
+                                  max_points_per_voxel=m)
+        for seed in range(9):
+            rng = np.random.default_rng(seed)
+            # dense clusters make overfull voxels at every m
+            centers = rng.uniform(-0.5, 4.5, size=(6, 3)) - (0, 2, 2)
+            pts = np.concatenate([c + rng.normal(0, 0.15, size=(200, 3)) for c in centers])
+            grid = geo.voxelize(geo.PointCloud(pts), cfg, seed=seed)
+            blocks, counts, coords = voxelize_per_voxel(
+                pts, cfg.range_min, cfg.range_max, cfg.voxel_size, cfg.grid_dims, m, seed)
+            inside = np.all((pts >= cfg.range_min) & (pts < cfg.range_max), axis=1)
+            assert counts.sum() < inside.sum()  # some voxel was subsampled
+            assert np.array_equal(grid.points, blocks)
+            assert np.array_equal(grid.valid_counts, counts)
+            assert np.array_equal(grid.coords, coords)
 
     def test_deterministic_given_seed(self):
         cfg = geo.VoxelGridConfig((0, 0, 0), (1, 1, 1), (1, 1, 1), max_points_per_voxel=3)

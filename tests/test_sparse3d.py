@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import dense_conv3d, receptive_field_mask
+from oracles import dense_conv3d, occupied_pair_count, receptive_field_mask
 from vxp import autodiff as ad
 from vxp import sparse3d as s3
 from vxp.autodiff import Tensor
@@ -144,6 +144,44 @@ class TestSparseConv:
         assert np.unique(out.coords, axis=0).shape == out.coords.shape
         assert out.grid_dims == (5, 4, 3)
         assert np.all(out.coords < np.array(out.grid_dims))
+
+    @pytest.mark.parametrize("kernel_size,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_rulebook_pairs_match_brute_force(self, kernel_size, stride):
+        pad = (kernel_size - 1) // 2
+        offsets = np.stack(np.meshgrid(*[np.arange(kernel_size)] * 3, indexing="ij"),
+                           axis=-1).reshape(-1, 3)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            dims = tuple(int(x) for x in rng.integers(3, 9, size=3))
+            coords = random_map(rng, dims, int(rng.integers(1, 40)), 1).coords
+            plan = s3.plan_sparse_conv(coords, dims, kernel_size, stride)
+            assert len(plan.rules) == kernel_size ** 3
+            for (in_rows, out_rows), offset in zip(plan.rules, offsets):
+                assert np.unique(in_rows).size == in_rows.size
+                assert np.unique(out_rows).size == out_rows.size
+                assert np.array_equal(coords[in_rows],
+                                      plan.out_coords[out_rows] * stride + offset - pad)
+            total = sum(in_rows.size for in_rows, _ in plan.rules)
+            assert total == occupied_pair_count(coords, plan.out_coords, kernel_size, stride)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_shift_into_large_grid(self, stride):
+        # interior cells of a 9^3 grid, moved by a multiple of the stride into
+        # a 300^3 grid, must give the same sites (shifted) and the same features
+        rng = np.random.default_rng(20 + stride)
+        small = random_map(rng, (7, 7, 7), 40, 3)
+        small.coords += 1
+        small.grid_dims = (9, 9, 9)
+        shift = 50 * stride
+        large = s3.SparseFeatureMap(coords=small.coords + shift, feats=small.feats,
+                                    grid_dims=(300, 300, 300),
+                                    effective_voxel_size=small.effective_voxel_size,
+                                    range_min=small.range_min)
+        layer = s3.init_conv_layer(3, 4, 3, stride, rng)
+        a = s3.sparse_conv3d(small, layer)
+        b = s3.sparse_conv3d(large, layer)
+        assert np.array_equal(b.coords, a.coords + shift // stride)
+        assert np.array_equal(b.feats.values, a.feats.values)
 
     def test_gradient_wrt_kernel(self):
         rng = np.random.default_rng(8)
