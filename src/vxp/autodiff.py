@@ -394,8 +394,7 @@ def segment_max(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
         rows = np.where(eq, np.arange(av.shape[0])[:, None], av.shape[0])
         winner = np.minimum.reduceat(rows, starts, axis=0)
         buf = np.zeros_like(av)
-        cols = np.broadcast_to(np.arange(av.shape[1]), winner.shape)
-        np.add.at(buf, (winner.ravel(), cols.ravel()), g.ravel())
+        buf[winner, np.arange(av.shape[1])] = g  # each (winner, column) is unique
         return (buf,)
 
     return _finish(out, (a,), grad_fn)

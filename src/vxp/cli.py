@@ -218,27 +218,15 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 # --- eval ---
 
-def _rows_for(ids, rows, label):
+def _located(ids, descs, rows, label) -> retrieval.QuerySet:
+    """Descriptors with the position and timestamp of their manifest rows."""
     # descriptor ids are manifest row ordinals (assigned by `extract`)
     if any(int(i) >= len(rows) for i in ids):
         raise VxpError(f"{label}: descriptor id exceeds manifest length; "
                        "descriptors and manifest do not match")
-    return rows
-
-
-def _query_set(ids, descs, rows) -> retrieval.QuerySet:
-    rows = _rows_for(ids, rows, "query")
-    positions = np.asarray([rows[int(i)].position for i in ids])
-    timestamps = np.asarray([rows[int(i)].timestamp_s for i in ids])
-    return retrieval.QuerySet(descriptors=descs, positions=positions,
-                              ids=ids, timestamps=timestamps)
-
-
-def _index_for(ids, descs, rows, metric) -> retrieval.RetrievalIndex:
-    rows = _rows_for(ids, rows, "database")
-    positions = np.asarray([rows[int(i)].position for i in ids])
-    timestamps = np.asarray([rows[int(i)].timestamp_s for i in ids])
-    return retrieval.build_index(descs, ids, positions, timestamps, metric)
+    return retrieval.QuerySet(
+        descriptors=descs, positions=np.asarray([rows[int(i)].position for i in ids]),
+        ids=ids, timestamps=np.asarray([rows[int(i)].timestamp_s for i in ids]))
 
 
 def _parse_recall_spec(spec: str) -> tuple[list[int], bool, bool]:
@@ -272,38 +260,42 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                       k_list=tuple(ks) or (1,),
                                       one_percent=one_percent)
 
+    queries = _located(q_ids, q_descs, q_rows, "query")
+    database = _located(db_ids, db_descs, db_rows, "database")
+    if args.protocol == "oxford":
+        q_run = np.asarray([q_rows[int(i)].run_id for i in q_ids])
+        db_run = np.asarray([db_rows[int(i)].run_id for i in db_ids])
+        selections = [(q_run == run, db_run == run)
+                      for run in sorted(set(q_run) & set(db_run))]
+    else:
+        selections = [(slice(None), slice(None))]
+    runs = []
+    for q_sel, db_sel in selections:
+        db = database.take(db_sel)
+        runs.append((queries.take(q_sel), retrieval.build_index(
+            db.descriptors, db.ids, db.positions, db.timestamps, metric)))
+
     results: list[tuple[str, str, float]] = []
     if args.protocol == "plain":
-        queries = _query_set(q_ids, q_descs, q_rows)
-        index = _index_for(db_ids, db_descs, db_rows, metric)
+        plain_queries, index = runs[0]
+        one_pct_k = retrieval.one_percent_k(index.size)
+        curve_k = min(constants.RECALL_CURVE_MAX_K, index.size) if curve else 1
+        ranks = retrieval.first_match_ranks(  # one ranking pass for every metric
+            plain_queries, index, radius, max([*ks, one_pct_k if one_percent else 1, curve_k]))
         for k in ks:
-            results.append(("plain", str(k),
-                            retrieval.recall_at_k(queries, index, protocol, k)))
+            results.append(("plain", str(k), retrieval.recall_from_ranks(ranks, k)))
         if one_percent:
-            results.append(("plain", "1pct",
-                            retrieval.recall_at_one_percent(queries, index, protocol)))
+            results.append(("plain", "1pct", retrieval.recall_from_ranks(ranks, one_pct_k)))
         if curve:
-            curve_rows = retrieval.recall_curve(queries, index, protocol)
+            curve_rows = [(k, retrieval.recall_from_ranks(ranks, k))
+                          for k in range(1, curve_k + 1)]
             curve_path = args.curve_out or (str(args.out) + ".curve.csv")
             retrieval.write_curve_csv(curve_path, curve_rows)
     elif args.protocol == "oxford":
-        run_ids = sorted({r.run_id for r in q_rows} & {r.run_id for r in db_rows})
-        runs = []
-        for run in run_ids:
-            q_sel = np.asarray([i for i, qi in enumerate(q_ids)
-                                if q_rows[int(qi)].run_id == run], dtype=np.int64)
-            d_sel = np.asarray([i for i, di in enumerate(db_ids)
-                                if db_rows[int(di)].run_id == run], dtype=np.int64)
-            if q_sel.size == 0 or d_sel.size == 0:
-                continue
-            runs.append((_query_set(q_ids[q_sel], q_descs[q_sel], q_rows),
-                         _index_for(db_ids[d_sel], db_descs[d_sel], db_rows, metric)))
         out = retrieval.oxford_pairwise_eval(runs, protocol)
         results.extend(("oxford", k, v) for k, v in out.items())
     else:  # kitti
-        queries = _query_set(q_ids, q_descs, q_rows)
-        index = _index_for(db_ids, db_descs, db_rows, metric)
-        out = retrieval.kitti_revisit_eval(queries, index, protocol)
+        out = retrieval.kitti_revisit_eval(*runs[0], protocol)
         results.extend(("kitti", k, v) for k, v in out.items())
 
     retrieval.write_results_csv(args.out, results)

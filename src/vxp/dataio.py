@@ -22,10 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import constants
 from .autodiff import Tensor
-from .errors import (BadMagic, DuplicateId, EmptyResult, HeaderMismatch, IoError,
-                     MalformedFile, MissingKey, ParseError, TruncatedFile,
+from .errors import (BadMagic, DuplicateId, HeaderMismatch, IoError, MalformedFile,
+                     MissingKey, NonFinite, ParseError, TruncatedFile,
                      VersionUnsupported)
 from .geometry import PointCloud, ProjectionModel, VoxelGridConfig, default_grid_config
 
@@ -45,13 +44,6 @@ class SampleManifestRow:
     cloud_path: str
     image_path: str
     run_id: str
-
-
-@dataclass
-class TrainingTuple:
-    anchor_id: str
-    positive_ids: list[str]
-    negative_ids: list[str]
 
 
 @dataclass
@@ -240,36 +232,6 @@ def write_manifest(path, rows: list[SampleManifestRow]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def build_tuples(rows: list[SampleManifestRow],
-                 pos_thresh: float = constants.POSITIVE_THRESHOLD_M,
-                 neg_thresh: float = constants.NEGATIVE_THRESHOLD_M,
-                 ) -> tuple[list[TrainingTuple], int]:
-    """Positive/negative id sets per anchor from pairwise distances.
-
-    Anchors without any positive are dropped; returns (tuples, dropped).
-    """
-    if not 0 < pos_thresh < neg_thresh:
-        raise ValueError("need 0 < pos_thresh < neg_thresh")
-    pos = np.asarray([r.position for r in rows])
-    ids = [r.sample_id for r in rows]
-    dists = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2))
-    tuples = []
-    dropped = 0
-    for a in range(len(rows)):
-        positives = [ids[b] for b in range(len(rows))
-                     if b != a and dists[a, b] <= pos_thresh]
-        if not positives:
-            dropped += 1
-            continue
-        negatives = [ids[b] for b in range(len(rows))
-                     if b != a and dists[a, b] > neg_thresh]
-        tuples.append(TrainingTuple(anchor_id=ids[a], positive_ids=positives,
-                                    negative_ids=negatives))
-    if not tuples:
-        raise EmptyResult("no anchor has a positive sample")
-    return tuples, dropped
-
-
 def load_training_set(manifest_path, calib_path,
                       voxel_config: VoxelGridConfig | None = None) -> TrainingSet:
     """Resolve a manifest's clouds/images relative to the manifest location."""
@@ -289,27 +251,31 @@ def load_training_set(manifest_path, calib_path,
 
 # --- descriptor files (VXPD) ---
 
+def _vxpd_records(dim: int) -> np.dtype:
+    return np.dtype([("id", "<u8"), ("d", "<f4", (dim,))])
+
+
 def write_descriptors(path, ids: np.ndarray, descriptors: np.ndarray) -> None:
     """VXPD: magic, version u16, dim u32, count u32, then (id u64, dim f32)."""
     descriptors = np.asarray(descriptors)
     ids = np.asarray(ids, dtype=np.uint64)
-    if descriptors.ndim != 2:
-        raise ValueError("descriptors must be (count, dim)")
+    if descriptors.ndim != 2 or descriptors.shape[1] == 0:
+        raise ValueError("descriptors must be (count, dim) with dim >= 1")
     if ids.shape[0] != descriptors.shape[0]:
         raise ValueError("ids and descriptors disagree on count")
     count, dim = descriptors.shape
-    out = bytearray()
-    out += VXPD_MAGIC
-    out += struct.pack("<HII", 1, dim, count)
-    payload = descriptors.astype("<f4")
-    for i in range(count):
-        out += struct.pack("<Q", int(ids[i]))
-        out += payload[i].tobytes()
-    Path(path).write_bytes(bytes(out))
+    records = np.empty(count, dtype=_vxpd_records(dim))
+    records["id"] = ids
+    records["d"] = descriptors
+    Path(path).write_bytes(VXPD_MAGIC + struct.pack("<HII", 1, dim, count)
+                           + records.tobytes())
 
 
 def read_descriptors(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a VXPD file -> (ids u64, descriptors float64 widened from f32)."""
+    """Read a VXPD file -> (ids u64, descriptors float64 widened from f32).
+
+    Ids must be unique and descriptors finite; dim must be at least 1.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -322,16 +288,22 @@ def read_descriptors(path) -> tuple[np.ndarray, np.ndarray]:
     version, dim, count = struct.unpack_from("<HII", raw, 4)
     if version != 1:
         raise VersionUnsupported(f"{path}: version {version}")
+    if dim == 0:
+        raise MalformedFile(f"{path}: descriptor_dim is 0")
     record = 8 + 4 * dim
     if len(raw) != 14 + record * count:
         raise TruncatedFile(f"{path}: expected {14 + record * count} bytes, got {len(raw)}")
-    ids = np.empty(count, dtype=np.uint64)
-    descs = np.empty((count, dim), dtype=np.float64)
-    offset = 14
-    for i in range(count):
-        ids[i] = struct.unpack_from("<Q", raw, offset)[0]
-        descs[i] = np.frombuffer(raw, dtype="<f4", count=dim, offset=offset + 8)
-        offset += record
+    records = np.frombuffer(raw, dtype=_vxpd_records(dim), count=count, offset=14)
+    ids = records["id"].astype(np.uint64)
+    descs = records["d"].astype(np.float64)
+    uniq, seen = np.unique(ids, return_counts=True)
+    if (seen > 1).any():
+        dup = int(np.argmax(seen > 1))
+        raise DuplicateId(f"{path}: id {int(uniq[dup])} appears {int(seen[dup])} times")
+    bad = ~np.isfinite(descs).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise NonFinite(f"{path}: record {row} (id {int(ids[row])}) is not finite")
     return ids, descs
 
 

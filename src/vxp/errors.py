@@ -107,10 +107,6 @@ class DuplicateId(VxpError):
     pass
 
 
-class EmptyResult(VxpError):
-    pass
-
-
 class BadMagic(VxpError):
     pass
 

@@ -40,9 +40,6 @@ class ImageFeatureMap:
     channels: int
     feats: Tensor  # (height * width, channels), row-major by (v, u)
 
-    def at(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.feats.values[np.asarray(v) * self.width + np.asarray(u)]
-
 
 @dataclass
 class GlobalDescriptor:

@@ -1,4 +1,4 @@
-"""Render the protocol and file-format documentation from the constants table.
+"""Render the protocol documentation from the constants table.
 
 Docs are generated, committed, and guarded by a drift test: re-rendering
 must reproduce the committed files byte for byte, so a changed code default
@@ -54,75 +54,15 @@ nearest descriptors lies within 25.0 m of the query's true position;
 queries with no in-radius database entry are excluded. recall@1% uses
 k = max(1, ceil(N/100)) for a database of N entries. Recall curves are
 emitted for k = 1..25.
-"""
 
-_FORMATS = """\
-# File formats
-
-All multi-byte integers are little-endian.
-
-## Point cloud `.bin`
-
-Consecutive float32 quadruples `(x, y, z, intensity)`, meters in the sensor
-frame. Intensity is read and discarded. File size must be divisible by 16.
-
-## Raw image grid `.img`
-
-`u32 width`, `u32 height`, then `height * width` float32 values, row-major.
-One channel (the synthetic renderer stores inverse depth).
-
-## Manifest CSV
-
-UTF-8 CSV with exact header
-`id,timestamp_s,x_m,y_m,z_m,cloud_path,image_path,run_id`.
-Ids must be unique; paths resolve relative to the manifest's directory.
-
-## VXP-CAL v1 (calibration, text)
-
-```
-VXP-CAL v1
-fx_n fy_n cx_n cy_n
-r11 r12 r13 tx
-r21 r22 r23 ty
-r31 r32 r33 tz
-```
-
-Line 2 holds normalized pinhole intrinsics (dimensionless fractions of
-image width/height); lines 3-5 are the first three rows of the 4x4
-sensor-to-camera rigid transform (bottom row is implicitly `0 0 0 1`).
-The KITTI importer converts `calib.txt` (`P2` + `Tr` rows) into this model,
-normalizing `P2` intrinsics by the image dimensions and ignoring the `P2`
-translation column.
-
-## VXPD (descriptor sets, binary)
-
-| field | type |
-|-------|------|
-| magic | `0x56 0x58 0x50 0x44` ("VXPD") |
-| version | u16, currently 1 |
-| descriptor_dim | u32 |
-| count | u32 |
-| records | count x (id u64, descriptor_dim x f32) |
-
-Descriptor ids are the row ordinals of the manifest the descriptors were
-extracted from.
-
-## VXPC (checkpoints, binary)
-
-Magic "VXPC", version u16 = 1, then named tensors until end of file:
-
-| field | type |
-|-------|------|
-| name length | u16 |
-| name | UTF-8 bytes |
-| rank | u8 |
-| extents | rank x u32 |
-| values | f64, row-major |
-
-## Result CSVs
-
-Evaluation results: `protocol,k,recall` rows. Recall curves: `k,recall`
-rows for k = 1..25. Training loss history: `epoch,step,loss` rows.
+**Exact search.** Rankings are exact: ids and distances equal a brute-force
+scan bit for bit, and equal distances rank by lowest id. L2 search first
+takes a shortlist from one matrix multiply, ||q||^2 + ||d||^2 - 2 q.d, keeping
+every candidate within twice a written rounding bound of the query's c-th
+smallest value, then re-ranks the shortlist with the exact distance. L1
+distances are exact from the start. Each query is ranked once per query set
+and database: every recall metric is read from the rank of its first
+in-radius candidate.
 """
 
 
@@ -138,7 +78,7 @@ def render_protocol_docs() -> dict[str, str]:
     for name, value, provenance, note in constants.PROTOCOL_TABLE:
         table_rows.append(f"| `{name}` | {_fmt_value(value)} | {provenance} | {note} |")
     protocols = _PROTOCOLS_HEADER + "\n".join(table_rows) + "\n" + _PROTOCOLS_FOOTER
-    return {"protocols.md": protocols, "formats.md": _FORMATS}
+    return {"protocols.md": protocols}
 
 
 def write_protocol_docs(docs_dir) -> None:

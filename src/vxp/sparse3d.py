@@ -290,10 +290,6 @@ class BackboneParams:
             yield f"{prefix}.conv{i}.kernel", layer.kernel
             yield f"{prefix}.conv{i}.bias", layer.bias
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].c_out if self.layers else self.vfe.dim
-
 
 def init_backbone_params(rng: np.random.Generator, vfe_dim: int = 32,
                          feature_dim: int = 64, second_vfe_layer: bool = False,

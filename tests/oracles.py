@@ -5,6 +5,7 @@ dense numpy, deliberately sharing no code with the package under test.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -165,3 +166,17 @@ def brute_force_recall_at_k(query_desc, query_pos, db_desc, db_pos, db_ids,
     if valid == 0:
         return None
     return hits / valid
+
+
+def write_descriptors_per_record(path, ids, descriptors):
+    """VXPD writer with one struct call per record: magic, version u16,
+    dim u32, count u32, then (id u64, dim f32) per record."""
+    payload = np.asarray(descriptors).astype("<f4")
+    count, dim = payload.shape
+    out = bytearray(b"VXPD")
+    out += struct.pack("<HII", 1, dim, count)
+    for i in range(count):
+        out += struct.pack("<Q", int(ids[i]))
+        out += payload[i].tobytes()
+    with open(path, "wb") as fh:
+        fh.write(bytes(out))

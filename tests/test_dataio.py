@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import write_descriptors_per_record
 from vxp import dataio, synthetic
 from vxp.autodiff import Tensor
-from vxp.errors import (BadMagic, DuplicateId, EmptyResult, HeaderMismatch,
-                        MalformedFile, MissingKey, ParseError, TruncatedFile,
+from vxp.errors import (BadMagic, DuplicateId, HeaderMismatch, MalformedFile,
+                        MissingKey, NonFinite, ParseError, TruncatedFile,
                         VersionUnsupported)
 from vxp.geometry import ProjectionModel
 
@@ -133,55 +134,6 @@ class TestManifest:
             dataio.parse_manifest(p)
 
 
-class TestBuildTuples:
-    def test_mutual_positives(self):
-        rows = TestManifest.rows(2, spacing=5.0)
-        tuples, dropped = dataio.build_tuples(rows)
-        assert dropped == 0
-        assert tuples[0].positive_ids == ["s1"]
-        assert tuples[1].positive_ids == ["s0"]
-        assert tuples[0].negative_ids == []
-
-    def test_dead_zone(self):
-        rows = TestManifest.rows(2, spacing=15.0)
-        with pytest.raises(EmptyResult):
-            dataio.build_tuples(rows)
-
-    def test_matches_brute_force_oracle(self):
-        rng = np.random.default_rng(3)
-        rows = []
-        for i in range(120):
-            pos = tuple(rng.uniform(0, 200, size=3))
-            rows.append(dataio.SampleManifestRow(
-                sample_id=f"r{i}", timestamp_s=float(i), position=pos,
-                cloud_path="", image_path="", run_id="t0"))
-        try:
-            tuples, dropped = dataio.build_tuples(rows)
-        except EmptyResult:
-            tuples, dropped = [], len(rows)
-        by_anchor = {t.anchor_id: t for t in tuples}
-
-        count_dropped = 0
-        for a, ra in enumerate(rows):
-            pos_ids, neg_ids = [], []
-            for b, rb in enumerate(rows):
-                if a == b:
-                    continue
-                d = np.sqrt(sum((x - y) ** 2 for x, y in zip(ra.position, rb.position)))
-                if d <= 10.0:
-                    pos_ids.append(rb.sample_id)
-                elif d > 25.0:
-                    neg_ids.append(rb.sample_id)
-            if not pos_ids:
-                count_dropped += 1
-                assert ra.sample_id not in by_anchor
-            else:
-                t = by_anchor[ra.sample_id]
-                assert sorted(t.positive_ids) == sorted(pos_ids)
-                assert sorted(t.negative_ids) == sorted(neg_ids)
-        assert dropped == count_dropped
-
-
 class TestDescriptorFile:
     def test_header_only(self, tmp_path):
         p = tmp_path / "d.vxpd"
@@ -219,6 +171,51 @@ class TestDescriptorFile:
         (tmp_path / "bad3").write_bytes(raw[:-3])
         with pytest.raises(TruncatedFile):
             dataio.read_descriptors(tmp_path / "bad3")
+
+
+    @pytest.mark.parametrize("count,dim", [(0, 4), (1, 1), (7, 3), (50, 256)])
+    def test_bytes_match_per_record_writer(self, tmp_path, count, dim):
+        rng = np.random.default_rng(count * 1000 + dim)
+        descs = rng.normal(size=(count, dim)) * np.exp(rng.normal(size=(count, dim)) * 8)
+        if count:
+            descs[0, 0] = -0.0
+            descs[-1, -1] = 1e-42  # float32 subnormal
+        ids = rng.integers(0, 2 ** 63, size=count).astype(np.uint64)
+        if count:
+            ids[0] = 2 ** 64 - 1
+        want, got = tmp_path / "want.vxpd", tmp_path / "got.vxpd"
+        write_descriptors_per_record(want, ids, descs)
+        dataio.write_descriptors(got, ids, descs)
+        assert got.read_bytes() == want.read_bytes()
+        back_ids, back = dataio.read_descriptors(got)
+        assert back_ids.dtype == np.uint64 and np.array_equal(back_ids, ids)
+        assert back.dtype == np.float64 and back.shape == (count, dim)
+        assert np.array_equal(back, descs.astype(np.float32).astype(np.float64))
+
+    def test_dim_zero_rejected(self, tmp_path):
+        for count in (0, 3):
+            p = tmp_path / f"d{count}.vxpd"
+            p.write_bytes(b"VXPD" + np.array([1], "<u2").tobytes()
+                          + np.array([0, count], "<u4").tobytes() + bytes(8 * count))
+            with pytest.raises(MalformedFile, match="descriptor_dim"):
+                dataio.read_descriptors(p)
+        with pytest.raises(ValueError):
+            dataio.write_descriptors(tmp_path / "w.vxpd", np.arange(2), np.zeros((2, 0)))
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        p = tmp_path / "d.vxpd"
+        write_descriptors_per_record(p, np.array([4, 9, 4], dtype=np.uint64), np.ones((3, 2)))
+        with pytest.raises(DuplicateId, match="id 4 appears 2 times"):
+            dataio.read_descriptors(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, value):
+        descs = np.ones((4, 3))
+        descs[2, 1] = value
+        p = tmp_path / "d.vxpd"
+        dataio.write_descriptors(p, np.arange(4, dtype=np.uint64) + 10, descs)
+        with pytest.raises(NonFinite, match="record 2 \\(id 12\\)"):
+            dataio.read_descriptors(p)
 
 
 class TestCheckpointFile:

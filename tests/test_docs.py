@@ -26,7 +26,7 @@ def test_drift_detected_on_stale_docs(tmp_path):
 
 def test_missing_doc_detected(tmp_path):
     protocols.write_protocol_docs(tmp_path)
-    (tmp_path / "formats.md").unlink()
+    (tmp_path / "protocols.md").unlink()
     with pytest.raises(DriftDetected):
         protocols.verify_protocol_docs(tmp_path)
 

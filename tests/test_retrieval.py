@@ -8,7 +8,7 @@ import pytest
 from oracles import brute_force_knn, brute_force_recall_at_k
 from vxp import retrieval as rt
 from vxp.errors import (DimMismatch, Empty, InsufficientRuns, InvalidK,
-                        MissingTimestamps, NoValidQueries)
+                        MissingTimestamps, NonFinite, NoValidQueries)
 
 
 def simple_index(descs, positions=None, ids=None, timestamps=None, metric="L2"):
@@ -197,6 +197,178 @@ class TestRecall:
         assert len(curve) == 25
         for k, r in curve:
             assert r == rt.recall_at_k(queries, idx, rt.EvalProtocol(), k)
+
+
+def adversarial(kind, descs):
+    """Inputs that stress the GEMM shortlist: exact duplicates (ties by id),
+    or a large common offset, where ||q||^2 + ||d||^2 - 2 q.d cancels to
+    within rounding of the distances themselves."""
+    if kind == "offset":
+        return 1e4 + 1e-4 * descs
+    descs = descs.copy()
+    descs[len(descs) // 2:] = descs[:len(descs) - len(descs) // 2]
+    return descs
+
+
+def ranks_oracle(q_desc, q_pos, db_desc, db_pos, ids, radius, cap, rows_for=None,
+                 metric="L2"):
+    """First-match ranks from brute-force kNN over each query's candidates."""
+    out = []
+    for q in range(q_desc.shape[0]):
+        rows = np.arange(db_desc.shape[0]) if rows_for is None else rows_for(q)
+        gt = np.sqrt(((db_pos[rows] - q_pos[q]) ** 2).sum(axis=1)) <= radius
+        if not gt.any():
+            out.append(-1)
+            continue
+        top, _ = brute_force_knn(db_desc[rows], ids[rows], q_desc[q], len(rows), metric)
+        good = {int(i) for i in ids[rows][gt]}
+        first = next(r for r, i in enumerate(top) if int(i) in good)
+        out.append(min(first, cap))
+    return np.asarray(out)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("metric", ["L2", "L1"])
+    @pytest.mark.parametrize("dim", [4, 256])
+    @pytest.mark.parametrize("kind", ["duplicates", "offset"])
+    def test_knn_matches_brute_force_exactly(self, metric, dim, kind):
+        rng = np.random.default_rng(dim)
+        n = 120
+        descs = adversarial(kind, rng.normal(size=(n, dim)))
+        ids = rng.permutation(n).astype(np.uint64)
+        idx = simple_index(descs, ids=ids, metric=metric)
+        queries = adversarial(kind, rng.normal(size=(6, dim)))
+        queries[0] = descs[3]  # an exact hit on a duplicated row
+        for q in queries:
+            for k in (1, 7, n):
+                got_ids, got_d = rt.query_knn(idx, q, k)
+                want_ids, want_d = brute_force_knn(descs, ids, q, k, metric)
+                assert np.array_equal(got_ids, want_ids)
+                assert np.array_equal(got_d, want_d)
+
+    @pytest.mark.parametrize("metric", ["L2", "L1"])
+    @pytest.mark.parametrize("n_q", [1, 23])
+    @pytest.mark.parametrize("kind", ["duplicates", "offset"])
+    def test_ranks_and_recalls_across_blocks(self, monkeypatch, metric, n_q, kind):
+        # 5 queries per block, so 23 queries leave a partial last block.
+        # Descriptors carry no place signal, so first matches rank anywhere
+        # from 0 past the cap, and queries beyond either end have none.
+        rng = np.random.default_rng(n_q)
+        db_desc = adversarial(kind, rng.normal(size=(90, 256)))
+        q_desc = adversarial("offset", rng.normal(size=(n_q, 256))) if kind == "offset" \
+            else rng.normal(size=(n_q, 256))
+        db_pos = np.zeros((90, 3))
+        db_pos[:, 0] = np.arange(90) * 5.0
+        q_pos = np.zeros((n_q, 3))
+        q_pos[:, 0] = rng.uniform(-60.0, 510.0, size=n_q)
+        ids = rng.permutation(90).astype(np.uint64)
+        idx = simple_index(db_desc, positions=db_pos, ids=ids, metric=metric)
+        monkeypatch.setattr(rt, "_BLOCK_ELEMS", 5 * idx.size)
+        queries = rt.QuerySet(q_desc, q_pos)
+        proto = rt.EvalProtocol()
+        ranks = rt.first_match_ranks(queries, idx, proto.success_radius_m, 25)
+        want = ranks_oracle(q_desc, q_pos, db_desc, db_pos, ids, proto.success_radius_m, 25,
+                            metric=metric)
+        assert np.array_equal(ranks, want)
+        curve = rt.recall_curve(queries, idx, proto)
+        for k in range(1, 26):
+            valid = np.count_nonzero(ranks >= 0)
+            if valid == 0:
+                with pytest.raises(NoValidQueries):
+                    rt.recall_at_k(queries, idx, proto, k)
+                continue
+            prefix = np.count_nonzero((ranks >= 0) & (ranks < k)) / valid
+            assert prefix == rt.recall_from_ranks(ranks, k)
+            assert prefix == rt.recall_at_k(queries, idx, proto, k)
+            assert prefix == curve[k - 1][1]
+            assert prefix == brute_force_recall_at_k(q_desc, q_pos, db_desc, db_pos, ids,
+                                                     proto.success_radius_m, k, metric)
+
+    def test_rank_codes(self):
+        # rows 0-2 are closest in descriptor space but far away in position
+        descs = np.arange(6.0)[:, None]
+        pos = np.zeros((6, 3))
+        pos[:3, 0] = 100.0
+        idx = simple_index(descs, positions=pos)
+        queries = rt.QuerySet(np.array([[0.0], [0.0], [5.0]]),
+                              np.array([[0.0, 0, 0], [500.0, 0, 0], [0.0, 0, 0]]))
+        assert rt.first_match_ranks(queries, idx, 25.0, 2).tolist() == [2, -1, 0]
+        assert rt.first_match_ranks(queries, idx, 25.0, 6).tolist() == [3, -1, 0]
+        with pytest.raises(InvalidK):
+            rt.first_match_ranks(queries, idx, 25.0, 0)
+
+    def test_cap_beyond_subset_and_queries_without_candidates(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 60
+        pos = np.zeros((n, 3))
+        pos[:, 0] = (np.arange(n) * 4.0) % 80.0  # three laps over one 80 m stretch
+        ts = np.arange(n) * 2.0
+        descs = pos[:, :1] / 10.0 + rng.normal(size=(n, 4))
+        ids = rng.permutation(n).astype(np.uint64)
+        idx = rt.build_index(descs, ids, pos, ts)
+        monkeypatch.setattr(rt, "_BLOCK_ELEMS", 3 * n)
+        rows_for = [np.arange(j % 7, n, 7) for j in range(n)]
+        rows_for[0] = np.zeros(0, dtype=np.int64)  # a query with no candidate
+        queries = rt.QuerySet(descs, pos)
+        proto = rt.EvalProtocol()
+        for k in (1, 9, 40):  # 40 is more than any subset holds
+            want = ranks_oracle(descs, pos, descs, pos, ids, proto.success_radius_m, k,
+                                lambda q: rows_for[q])
+            assert want[0] == -1
+            got = rt.recall_at_k(queries, idx, proto, k, lambda q: rows_for[q])
+            assert got == np.count_nonzero((want >= 0) & (want < k)) / np.count_nonzero(want >= 0)
+
+        # the revisit protocol against per-query brute force over its masks
+        proto = rt.EvalProtocol(k_list=(1, 3), sampling_interval_m=8.0,
+                                sampling_start_offset_m=4.0)
+        out = rt.kitti_revisit_eval(rt.QuerySet(descs, pos, timestamps=ts), idx, proto)
+        q_rows = rt.sample_by_distance(pos, ts, 8.0, 0.0)
+        db_rows = rt.sample_by_distance(pos, ts, 8.0, 4.0)
+        cands = [db_rows[rt.kitti_revisit_filter(ts[q], ts[db_rows])] for q in q_rows]
+        assert cands[0].size == 0
+        for name, k in (("1", 1), ("3", 3), ("1pct", rt.one_percent_k(len(db_rows)))):
+            per_query = [brute_force_recall_at_k(
+                descs[q:q + 1], pos[q:q + 1], descs[c], pos[c], ids[c],
+                proto.success_radius_m, k) for q, c in zip(q_rows, cands) if c.size]
+            scored = [v for v in per_query if v is not None]
+            assert out[name] == sum(scored) / len(scored)
+
+    def test_radius_test_is_bit_identical_at_the_boundary(self):
+        # points a few ulps from the 25 m sphere, kept where the order in
+        # which dx^2, dy^2, dz^2 are added decides whether they are inside
+        rng = np.random.default_rng(12)
+        xy = rng.uniform(-15.0, 15.0, size=(20000, 2))
+        z = np.sqrt(625.0 - (xy ** 2).sum(axis=1))
+        pts = np.column_stack([xy, z + rng.integers(-3, 4, size=20000) * np.spacing(z)])
+        sq = pts ** 2
+        inside = np.sqrt(sq.sum(axis=1)) <= 25.0
+        reordered = np.sqrt(sq[:, 0] + (sq[:, 1] + sq[:, 2])) <= 25.0
+        pts, inside = pts[inside != reordered], inside[inside != reordered]
+        n = pts.shape[0]
+        assert n > 100 and 0 < inside.sum() < n
+        idx = simple_index(rng.normal(size=(n, 2)), positions=pts)
+        queries = rt.QuerySet(rng.normal(size=(n, 2)), np.zeros((n, 3)))
+        own_row = np.eye(n, dtype=bool)  # query j may only match row j
+        ranks = rt.first_match_ranks(queries, idx, 25.0, 1, lambda lo, hi: own_row[lo:hi])
+        assert np.array_equal(ranks == 0, inside)
+
+    def test_non_finite_inputs_rejected(self):
+        descs = np.eye(3)
+        bad = descs.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(NonFinite, match="row 1"):
+            simple_index(bad)
+        bad_pos = np.zeros((3, 3))
+        bad_pos[2, 0] = np.inf
+        with pytest.raises(NonFinite, match="row 2"):
+            simple_index(descs, positions=bad_pos)
+        idx = simple_index(descs)
+        with pytest.raises(NonFinite):
+            rt.query_knn(idx, np.array([0.0, np.inf, 0.0]), 1)
+        with pytest.raises(NonFinite):
+            rt.recall_at_k(rt.QuerySet(bad, np.zeros((3, 3))), idx, rt.EvalProtocol(), 1)
+        with pytest.raises(NonFinite):
+            rt.recall_at_k(rt.QuerySet(descs, bad_pos), idx, rt.EvalProtocol(), 1)
 
 
 class TestRevisit:
