@@ -8,7 +8,6 @@ same functions run as plain numpy (inference mode).
 
 Conventions fixed here so tests are deterministic:
   * ReLU gradient at exactly 0 is 0.
-  * reduce_max breaks ties by lowest index (numpy argmax order).
   * backward() overwrites .grad on every reachable requires_grad tensor and
     leaves unreachable tensors untouched.
 """
@@ -258,40 +257,6 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     return _finish(a.values.sum(axis=axis), (a,), grad_fn)
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.values.size
-    shape = a.shape
-    return _finish(np.asarray(a.values.mean()), (a,),
-                   lambda g: (np.full(shape, g / n),))
-
-
-def reduce_max(a: Tensor, axis: int | None = None) -> tuple[Tensor, np.ndarray]:
-    """Max reduction; also returns argmax indices (ties -> lowest index)."""
-    av = a.values
-    if axis is None:
-        arg = int(np.argmax(av))
-        shape = a.shape
-
-        def grad_fn(g):
-            buf = np.zeros(av.size)
-            buf[arg] = np.asarray(g).reshape(())
-            return (buf.reshape(shape),)
-
-        out = _finish(np.asarray(av.max()), (a,), grad_fn)
-        return out, np.asarray(arg)
-
-    arg = np.argmax(av, axis=axis)
-
-    def grad_fn_ax(g):
-        buf = np.zeros_like(av)
-        np.put_along_axis(buf, np.expand_dims(arg, axis),
-                          np.expand_dims(g, axis), axis=axis)
-        return (buf,)
-
-    out = _finish(av.max(axis=axis), (a,), grad_fn_ax)
-    return out, arg
-
-
 def l2norm(a: Tensor) -> Tensor:
     """Euclidean norm of all elements; subgradient 0 at the origin."""
     n = float(np.sqrt(np.sum(a.values ** 2)))
@@ -336,14 +301,6 @@ def pad_zero_row(a: Tensor) -> Tensor:
     """Append one all-zero row to an (n, d) matrix; gradient drops it."""
     out = np.vstack([a.values, np.zeros((1, a.shape[1]))])
     return _finish(out, (a,), lambda g: (g[:-1],))
-
-
-def scatter_rows(a: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
-    """Accumulate rows of a (k, d) matrix into a (num_rows, d) matrix."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out = np.zeros((num_rows, a.shape[1]))
-    np.add.at(out, idx, a.values)
-    return _finish(out, (a,), lambda g: (g[idx],))
 
 
 def rulebook_matmul(a: Tensor, kernel: Tensor,

@@ -58,7 +58,7 @@ PROTOCOL_TABLE = [
     ("kitti_sampling_start_offset_m", KITTI_SAMPLING_START_OFFSET_M, "protocol",
      "KITTI protocol: start offset between query and database sampling"),
     ("recall_curve_max_k", RECALL_CURVE_MAX_K, "default",
-     "recall curves are emitted for k = 1..25"),
+     f"recall curves are emitted for k = 1..{RECALL_CURVE_MAX_K}"),
     ("voxel_range_min", VOXEL_RANGE_MIN, "protocol",
      "lower corner of the point cloud crop box, meters"),
     ("voxel_range_max", VOXEL_RANGE_MAX, "protocol",

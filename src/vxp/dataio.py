@@ -182,6 +182,8 @@ def read_calibration(path) -> ProjectionModel:
         raise ParseError(f"{path}: bad float") from exc
     if any(len(r) != 4 for r in rows):
         raise ParseError(f"{path}: extrinsic rows need 4 floats")
+    if not (np.isfinite([fx, fy, cx, cy]).all() and np.isfinite(rows).all()):
+        raise ParseError(f"{path}: intrinsics and extrinsic must be finite")
     extrinsic = np.eye(4)
     extrinsic[:3, :] = rows
     return ProjectionModel(fx_n=fx, fy_n=fy, cx_n=cx, cy_n=cy, extrinsic=extrinsic)
@@ -255,8 +257,25 @@ def _vxpd_records(dim: int) -> np.dtype:
     return np.dtype([("id", "<u8"), ("d", "<f4", (dim,))])
 
 
+def _check_records(path, records: np.ndarray) -> None:
+    """Ids must be unique and the float32 descriptors finite, on both ends."""
+    uniq, seen = np.unique(records["id"], return_counts=True)
+    if (seen > 1).any():
+        dup = int(np.argmax(seen > 1))
+        raise DuplicateId(f"{path}: id {int(uniq[dup])} appears {int(seen[dup])} times")
+    bad = ~np.isfinite(records["d"]).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise NonFinite(f"{path}: record {row} (id {int(records['id'][row])}) "
+                        "is not finite")
+
+
 def write_descriptors(path, ids: np.ndarray, descriptors: np.ndarray) -> None:
-    """VXPD: magic, version u16, dim u32, count u32, then (id u64, dim f32)."""
+    """VXPD: magic, version u16, dim u32, count u32, then (id u64, dim f32).
+
+    Refuses what read_descriptors would refuse: duplicate ids and values
+    that are not finite as float32.
+    """
     descriptors = np.asarray(descriptors)
     ids = np.asarray(ids, dtype=np.uint64)
     if descriptors.ndim != 2 or descriptors.shape[1] == 0:
@@ -267,6 +286,7 @@ def write_descriptors(path, ids: np.ndarray, descriptors: np.ndarray) -> None:
     records = np.empty(count, dtype=_vxpd_records(dim))
     records["id"] = ids
     records["d"] = descriptors
+    _check_records(path, records)
     Path(path).write_bytes(VXPD_MAGIC + struct.pack("<HII", 1, dim, count)
                            + records.tobytes())
 
@@ -294,17 +314,8 @@ def read_descriptors(path) -> tuple[np.ndarray, np.ndarray]:
     if len(raw) != 14 + record * count:
         raise TruncatedFile(f"{path}: expected {14 + record * count} bytes, got {len(raw)}")
     records = np.frombuffer(raw, dtype=_vxpd_records(dim), count=count, offset=14)
-    ids = records["id"].astype(np.uint64)
-    descs = records["d"].astype(np.float64)
-    uniq, seen = np.unique(ids, return_counts=True)
-    if (seen > 1).any():
-        dup = int(np.argmax(seen > 1))
-        raise DuplicateId(f"{path}: id {int(uniq[dup])} appears {int(seen[dup])} times")
-    bad = ~np.isfinite(descs).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise NonFinite(f"{path}: record {row} (id {int(ids[row])}) is not finite")
-    return ids, descs
+    _check_records(path, records)
+    return records["id"].astype(np.uint64), records["d"].astype(np.float64)
 
 
 # --- checkpoints (VXPC) ---
@@ -349,7 +360,12 @@ def read_checkpoint(path) -> dict[str, Tensor]:
         offset += 2
         if offset + name_len + 1 > len(raw):
             raise TruncatedFile(f"{path}: name cut short")
-        name = raw[offset:offset + name_len].decode("utf-8")
+        try:
+            name = raw[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{path}: tensor name at byte {offset} is not UTF-8") from exc
+        if name in params:
+            raise DuplicateId(f"{path}: tensor {name!r} appears twice")
         offset += name_len
         (rank,) = struct.unpack_from("<B", raw, offset)
         offset += 1

@@ -15,15 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import constants
 from .errors import AllPointsCulled, EmptyCloud, NoVisibleVoxels
-
-if TYPE_CHECKING:
-    from .sparse3d import SparseFeatureMap
 
 # tolerance absorbing float rounding in (max-min)/size when the ratio is an
 # exact integer (44/0.4 evaluates to 110.00000000000001)
@@ -188,7 +184,7 @@ class ProjectedFeatureMap:
     height: int
     pixel_u: np.ndarray       # (K,) int64, 0 <= u < width
     pixel_v: np.ndarray       # (K,) int64, 0 <= v < height
-    voxel_index: np.ndarray   # (K,) int64, row into the source sparse map
+    voxel_index: np.ndarray   # (K,) int64, row of the projected coords
     depth: np.ndarray         # (K,) float64, meters
     inverse_depth: np.ndarray  # (K,) float64, 1/depth
     u_continuous: np.ndarray | None = None  # pre-floor pixel coordinates
@@ -202,34 +198,24 @@ class ProjectedFeatureMap:
         """Row-major flat pixel index per entry."""
         return self.pixel_v * self.width + self.pixel_u
 
-    def collision_groups(self) -> dict[int, np.ndarray]:
-        """Entry indices grouped by flat pixel, pixels with >= 1 entry."""
-        flat = self.pixel_flat()
-        order = np.argsort(flat, kind="stable")
-        groups: dict[int, np.ndarray] = {}
-        uniq, starts = np.unique(flat[order], return_index=True)
-        bounds = np.append(starts, flat.shape[0])
-        for i, pix in enumerate(uniq):
-            groups[int(pix)] = order[bounds[i]:bounds[i + 1]]
-        return groups
 
-
-def project_voxels(feature_map: "SparseFeatureMap", proj: ProjectionModel,
+def project_voxels(coords: np.ndarray, voxel_size, range_min, proj: ProjectionModel,
                    feat_dims: tuple[int, int]) -> ProjectedFeatureMap:
-    """Perspective-project voxel centers of a sparse map onto a feature grid.
+    """Perspective-project voxel centers onto a feature grid.
 
-    Centers are taken on the map's effective (coarse) voxel size, moved into
-    the camera frame, and put through the pinhole model with intrinsics
-    scaled to feat_dims = (width, height). Entries behind the camera or off
-    the grid are culled; every surviving voxel is kept, including pixel
-    collisions (no z-buffering).
+    coords are (T, 3) grid indices of voxels of edge voxel_size (the coarse,
+    strided size for a backbone's output) whose grid starts at range_min.
+    Centers are moved into the camera frame and put through the pinhole
+    model with intrinsics scaled to feat_dims = (width, height). Entries
+    behind the camera or off the grid are culled; every surviving voxel is
+    kept, including pixel collisions (no z-buffering). voxel_index refers to
+    rows of coords.
     """
     width, height = int(feat_dims[0]), int(feat_dims[1])
     if width < 1 or height < 1:
         raise ValueError("feature map dims must be >= 1")
-    centers = feature_map.coords * np.asarray(feature_map.effective_voxel_size) \
-        + np.asarray(feature_map.effective_voxel_size) / 2.0 \
-        + np.asarray(feature_map.range_min)
+    centers = coords * np.asarray(voxel_size) + np.asarray(voxel_size) / 2.0 \
+        + np.asarray(range_min)
 
     rot = proj.extrinsic[:3, :3]
     trans = proj.extrinsic[:3, 3]
@@ -257,25 +243,25 @@ def project_voxels(feature_map: "SparseFeatureMap", proj: ProjectionModel,
     )
 
 
-def orthographic_project(feature_map: "SparseFeatureMap",
+def orthographic_project(coords: np.ndarray, grid_dims, voxel_size,
                          feat_dims: tuple[int, int]) -> ProjectedFeatureMap:
     """Ablation variant: drop the forward grid axis instead of projecting.
 
-    The lateral (axis 1) and vertical (axis 2) grid coordinates are linearly
-    rescaled to the feature grid; pixels are independent of depth. Depth is
-    recorded as the distance from the grid's near face so collision weights
-    stay well-defined and positive.
+    The lateral (axis 1) and vertical (axis 2) grid coordinates of the
+    (T, 3) coords in a grid of grid_dims are linearly rescaled to the
+    feature grid; pixels are independent of depth. Depth is recorded as the
+    distance from the grid's near face, in units of voxel_size, so collision
+    weights stay well-defined and positive.
     """
     width, height = int(feat_dims[0]), int(feat_dims[1])
     if width < 1 or height < 1:
         raise ValueError("feature map dims must be >= 1")
-    coords = feature_map.coords
     if coords.shape[0] == 0:
-        raise NoVisibleVoxels("empty sparse map")
-    dims = np.asarray(feature_map.grid_dims)
+        raise NoVisibleVoxels("no voxel to project")
+    dims = np.asarray(grid_dims)
     u = np.floor(coords[:, 1] * (width / dims[1])).astype(np.int64)
     v = np.floor(coords[:, 2] * (height / dims[2])).astype(np.int64)
-    depth = (coords[:, 0].astype(np.float64) + 0.5) * float(feature_map.effective_voxel_size[0])
+    depth = (coords[:, 0].astype(np.float64) + 0.5) * float(voxel_size[0])
     return ProjectedFeatureMap(
         width=width, height=height,
         pixel_u=u, pixel_v=v,

@@ -97,10 +97,6 @@ class ImageEncoderParams:
         if self.input_gain is None:
             self.input_gain = Tensor(1.0)
 
-    @property
-    def output_dim(self) -> int:
-        return self.block_w[-1].shape[1]
-
     def named(self, prefix: str = "encoder") -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.input_gain", self.input_gain
         for i, (w, b) in enumerate(zip(self.block_w, self.block_b)):
@@ -171,13 +167,18 @@ def encode_image_batch(images: np.ndarray, params: ImageEncoderParams
     return x, cw, ch
 
 
-def image_encode(image: np.ndarray, params: ImageEncoderParams) -> ImageFeatureMap:
-    """Single-image feature map with the (H//8, W//8, D) geometry contract."""
+def _one_image_batch(image: np.ndarray) -> np.ndarray:
+    """An (H, W) or (H, W, C) image as a (1, H, W, C) float64 batch."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim == 2:
         image = image[:, :, None]
-    feats, ow, oh = encode_image_batch(image[None], params)
-    return ImageFeatureMap(width=ow, height=oh, channels=params.output_dim, feats=feats)
+    return image[None]
+
+
+def image_encode(image: np.ndarray, params: ImageEncoderParams) -> ImageFeatureMap:
+    """Single-image feature map with the (H//8, W//8, D) geometry contract."""
+    feats, ow, oh = encode_image_batch(_one_image_batch(image), params)
+    return ImageFeatureMap(width=ow, height=oh, channels=feats.shape[1], feats=feats)
 
 
 def gem_pool(features: Tensor, p: Tensor) -> Tensor:
@@ -225,10 +226,25 @@ def fcn_project(pooled: Tensor, params: GemFcnParams, modality: str,
                             source_modality=modality, sample_id=sample_id)
 
 
+def encode_images(images: np.ndarray, encoder: ImageEncoderParams,
+                  head: GemFcnParams) -> Tensor:
+    """Descriptors of a (B, H, W, C) batch -> (B, descriptor_dim).
+
+    The only image-descriptor path: each image's feature rows are GeM-pooled
+    as one segment and put through the FC head, in training and inference.
+    """
+    feats, ow, oh = encode_image_batch(images, encoder)
+    b = images.shape[0]
+    pooled = gem_pool_segments(feats, np.repeat(np.arange(b), oh * ow), b, head.p)
+    return ad.add_rowvec(ad.matmul(pooled, head.fc_w), head.fc_b)
+
+
 def image_global_descriptor(image: np.ndarray, encoder: ImageEncoderParams,
                             head: GemFcnParams, sample_id: str = "") -> GlobalDescriptor:
-    fmap = image_encode(image, encoder)
-    return fcn_project(gem_pool(fmap.feats, head.p), head, "image", sample_id)
+    """One image's descriptor: the single-image case of encode_images."""
+    vector = encode_images(_one_image_batch(image), encoder, head)
+    return GlobalDescriptor(vector=ad.reshape(vector, (-1,)),
+                            source_modality="image", sample_id=sample_id)
 
 
 def point_cloud_encode(cloud: PointCloud, backbone: BackboneParams,

@@ -29,14 +29,14 @@ implementation choices, configurable at the call sites that use them.
 _PROTOCOLS_FOOTER = """
 ## Protocol summaries
 
-**Training pair thresholds.** Samples closer than 10.0 m form positive
-pairs, samples farther than 25.0 m are negatives; the band in between is
+**Training pair thresholds.** Samples closer than {positive} m form positive
+pairs, samples farther than {negative} m are negatives; the band in between is
 never sampled. Batch-hard mining selects, per anchor, the farthest positive
 and the closest negative inside the batch by descriptor distance.
 
 **Zero-triplet batch expansion.** After a batch, anchors whose hinge term
-is already zero are counted; if their fraction strictly exceeds 30% of the
-batch, the batch size grows by a factor of 1.4 (ceiling), capped at 256.
+is already zero are counted; if their fraction strictly exceeds {trigger:.0%} of the
+batch, the batch size grows by a factor of {rate} (ceiling), capped at {cap}.
 The new size takes effect at the next epoch.
 
 **Pairwise multi-run evaluation.** Every ordered pair of distinct runs is
@@ -45,15 +45,15 @@ the unweighted mean recall over pairs is reported. Queries may be limited
 to designated test regions.
 
 **Revisit evaluation.** Queries and database are subsampled along the
-trajectory every 20.0 m (database with a 5.0 m start offset). For a query
-taken at time t0, only database entries with t < t0 and t0 - t > 10.0 s are
+trajectory every {interval} m (database with a {offset} m start offset). For a query
+taken at time t0, only database entries with t < t0 and t0 - t > {gap} s are
 candidates, so immediate neighbors never count as matches.
 
 **Recall metrics.** recall@k counts a query as correct when any of its k
-nearest descriptors lies within 25.0 m of the query's true position;
+nearest descriptors lies within {radius} m of the query's true position;
 queries with no in-radius database entry are excluded. recall@1% uses
 k = max(1, ceil(N/100)) for a database of N entries. Recall curves are
-emitted for k = 1..25.
+emitted for k = 1..{curve_k}.
 
 **Exact search.** Rankings are exact: ids and distances equal a brute-force
 scan bit for bit, and equal distances rank by lowest id. L2 search first
@@ -77,7 +77,13 @@ def render_protocol_docs() -> dict[str, str]:
     table_rows = []
     for name, value, provenance, note in constants.PROTOCOL_TABLE:
         table_rows.append(f"| `{name}` | {_fmt_value(value)} | {provenance} | {note} |")
-    protocols = _PROTOCOLS_HEADER + "\n".join(table_rows) + "\n" + _PROTOCOLS_FOOTER
+    footer = _PROTOCOLS_FOOTER.format(
+        positive=constants.POSITIVE_THRESHOLD_M, negative=constants.NEGATIVE_THRESHOLD_M,
+        trigger=constants.ZERO_TRIPLET_TRIGGER, rate=constants.BATCH_EXPANSION_RATE,
+        cap=constants.MAX_BATCH_SIZE, interval=constants.KITTI_SAMPLING_INTERVAL_M,
+        offset=constants.KITTI_SAMPLING_START_OFFSET_M, gap=constants.REVISIT_MIN_GAP_S,
+        radius=constants.EVAL_SUCCESS_RADIUS_M, curve_k=constants.RECALL_CURVE_MAX_K)
+    protocols = _PROTOCOLS_HEADER + "\n".join(table_rows) + "\n" + footer
     return {"protocols.md": protocols}
 
 

@@ -1,8 +1,7 @@
 """Voxel feature encoding and sparse 3D convolution.
 
 The encoder turns a VoxelGrid into per-voxel descriptors (per-point linear +
-ReLU, max-pooled over the voxel's valid points, optionally a second layer on
-the concatenation of point features with the voxel max). A stack of standard
+ReLU, max-pooled over the voxel's valid points). A stack of standard
 (non-submanifold) sparse convolutions then coarsens the grid; with the
 default two stride-2 layers the 110^3 input grid becomes 55^3 then 28^3.
 
@@ -59,44 +58,24 @@ class SparseFeatureMap:
 
 @dataclass
 class VFEParams:
-    """Per-point encoder weights: 3 -> dim, optionally a second layer on
-    [point_feat, voxel_max] -> dim."""
+    """Per-point encoder weights: 3 -> dim."""
 
     w1: Tensor  # (3, dim)
     b1: Tensor  # (dim,)
-    w2_point: Tensor | None = None    # (dim, dim)
-    w2_context: Tensor | None = None  # (dim, dim)
-    b2: Tensor | None = None          # (dim,)
 
     @property
     def dim(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def has_second_layer(self) -> bool:
-        return self.w2_point is not None
-
     def named(self, prefix: str = "vfe") -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.w1", self.w1
         yield f"{prefix}.b1", self.b1
-        if self.has_second_layer:
-            yield f"{prefix}.w2_point", self.w2_point
-            yield f"{prefix}.w2_context", self.w2_context
-            yield f"{prefix}.b2", self.b2
 
 
-def init_vfe_params(dim: int, rng: np.random.Generator,
-                    second_layer: bool = False) -> VFEParams:
-    def lin(n_in, n_out):
-        scale = np.sqrt(2.0 / n_in)
-        return Tensor(rng.normal(0.0, scale, size=(n_in, n_out)), requires_grad=True)
-
-    params = VFEParams(w1=lin(3, dim), b1=Tensor(np.zeros(dim), requires_grad=True))
-    if second_layer:
-        params.w2_point = lin(dim, dim)
-        params.w2_context = lin(dim, dim)
-        params.b2 = Tensor(np.zeros(dim), requires_grad=True)
-    return params
+def init_vfe_params(dim: int, rng: np.random.Generator) -> VFEParams:
+    w1 = rng.normal(0.0, np.sqrt(2.0 / 3), size=(3, dim))
+    return VFEParams(w1=Tensor(w1, requires_grad=True),
+                     b1=Tensor(np.zeros(dim), requires_grad=True))
 
 
 def vfe_encode(grid: VoxelGrid, params: VFEParams) -> SparseFeatureMap:
@@ -117,13 +96,6 @@ def vfe_encode(grid: VoxelGrid, params: VFEParams) -> SparseFeatureMap:
 
     h = ad.relu(ad.add_rowvec(ad.matmul(flat_points, params.w1), params.b1))
     pooled = ad.segment_max(h, seg_ids, t)
-
-    if params.has_second_layer:
-        context = ad.gather_rows(pooled, seg_ids)
-        h2 = ad.relu(ad.add_rowvec(
-            ad.add(ad.matmul(h, params.w2_point), ad.matmul(context, params.w2_context)),
-            params.b2))
-        pooled = ad.segment_max(h2, seg_ids, t)
 
     cfg = grid.config
     return SparseFeatureMap(
@@ -235,14 +207,19 @@ def apply_sparse_conv(feature_map: SparseFeatureMap, layer: SparseConvLayer,
     out_feats = ad.add_rowvec(
         ad.rulebook_matmul(feature_map.feats, layer.kernel, plan.rules, t_out),
         layer.bias)
-    eff = tuple(float(s) * layer.stride for s in feature_map.effective_voxel_size)
     return SparseFeatureMap(
         coords=plan.out_coords,
         feats=out_feats,
         grid_dims=plan.out_dims,
-        effective_voxel_size=eff,
+        effective_voxel_size=_strided_voxel_size(feature_map.effective_voxel_size,
+                                                 layer.stride),
         range_min=feature_map.range_min,
     )
+
+
+def _strided_voxel_size(voxel_size, stride: int) -> tuple[float, float, float]:
+    """Voxel size of a conv's output sites: the input size times the stride."""
+    return tuple(float(s) * stride for s in voxel_size)
 
 
 def sparse_conv3d(feature_map: SparseFeatureMap, layer: SparseConvLayer) -> SparseFeatureMap:
@@ -292,12 +269,12 @@ class BackboneParams:
 
 
 def init_backbone_params(rng: np.random.Generator, vfe_dim: int = 32,
-                         feature_dim: int = 64, second_vfe_layer: bool = False,
+                         feature_dim: int = 64,
                          channels: tuple[int, ...] | None = None) -> BackboneParams:
     """Default stack: two kernel-3 stride-2 layers, so 110^3 -> 55^3 -> 28^3."""
     if channels is None:
         channels = (feature_dim, feature_dim)
-    vfe = init_vfe_params(vfe_dim, rng, second_layer=second_vfe_layer)
+    vfe = init_vfe_params(vfe_dim, rng)
     layers = []
     c_prev = vfe_dim
     for c_out in channels:
@@ -308,21 +285,28 @@ def init_backbone_params(rng: np.random.Generator, vfe_dim: int = 32,
 
 @dataclass
 class BackbonePlans:
-    """Per-sample conv routing, reusable while the input occupancy is fixed."""
+    """Per-sample conv routing, reusable while the input occupancy is fixed.
+
+    out_coords, out_dims and out_voxel_size place the backbone's output
+    sites, so they can be projected before any feature is computed.
+    """
 
     plans: list[ConvPlan]
+    out_coords: np.ndarray  # (T_out, 3) int64
+    out_dims: tuple[int, int, int]
+    out_voxel_size: tuple[float, float, float]
 
 
 def plan_backbone(grid: VoxelGrid, params: BackboneParams) -> BackbonePlans:
-    coords = grid.coords
-    dims = np.asarray(grid.config.grid_dims, dtype=np.int64)
+    coords, dims, size = grid.coords, grid.config.grid_dims, grid.config.voxel_size
     plans = []
     for layer in params.layers:
         plan = plan_sparse_conv(coords, dims, layer.kernel_size, layer.stride)
         plans.append(plan)
-        coords = plan.out_coords
-        dims = np.asarray(plan.out_dims, dtype=np.int64)
-    return BackbonePlans(plans=plans)
+        coords, dims = plan.out_coords, plan.out_dims
+        size = _strided_voxel_size(size, layer.stride)
+    return BackbonePlans(plans=plans, out_coords=coords, out_dims=dims,
+                         out_voxel_size=tuple(size))
 
 
 def point_cloud_backbone(grid: VoxelGrid, params: BackboneParams,

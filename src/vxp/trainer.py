@@ -20,7 +20,6 @@ import logging
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -30,8 +29,9 @@ from .autodiff import Tape, Tensor
 from .dataio import TrainingSet, write_checkpoint
 from .errors import (AllPointsCulled, DegenerateDataset, EmptyCloud,
                      NoVisibleVoxels, ShapeMismatch)
-from .geometry import (PointCloud, VoxelGridConfig, default_grid_config,
-                       orthographic_project, project_voxels, voxelize)
+from .geometry import (ProjectedFeatureMap, VoxelGrid, VoxelGridConfig,
+                       default_grid_config, orthographic_project, project_voxels,
+                       voxelize)
 from .losses import TrainingBatch, TripletConfig
 
 log = logging.getLogger(__name__)
@@ -54,7 +54,6 @@ class StageConfig:
     projection: str = "perspective"  # or "orthographic" (ablation)
     image_gain: float = 1.0
     augment_shift_px: int = 0  # stage 1 only: random +-px translations
-    cloud_jitter_m: float = 0.0  # stage 3 only: random lateral cloud shifts
     conv_channels: tuple[int, ...] | None = None  # default: (feature_dim, feature_dim)
     triplet: TripletConfig = field(default_factory=TripletConfig)
     descriptor_dim: int = 256
@@ -71,14 +70,11 @@ class StageConfig:
             raise ValueError(f"unknown projection {self.projection!r}")
 
 
-def lr_schedule(epoch: int, base_lr: float,
-                multiplier_fn: Callable[[int], float] | None = None,
-                decay: float = 0.9) -> float:
-    """base_lr times a per-epoch factor; default factor is decay**epoch."""
+def lr_schedule(epoch: int, base_lr: float, decay: float = 0.9) -> float:
+    """base_lr times decay**epoch."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    factor = multiplier_fn(epoch) if multiplier_fn is not None else decay ** epoch
-    return base_lr * factor
+    return base_lr * decay ** epoch
 
 
 class AdamState:
@@ -197,10 +193,7 @@ def init_backbone_into(params: dict[str, Tensor], cfg: StageConfig,
 
 def backbone_from(params: dict[str, Tensor]) -> sparse3d.BackboneParams:
     vfe = sparse3d.VFEParams(w1=params["pc.backbone.vfe.w1"],
-                             b1=params["pc.backbone.vfe.b1"],
-                             w2_point=params.get("pc.backbone.vfe.w2_point"),
-                             w2_context=params.get("pc.backbone.vfe.w2_context"),
-                             b2=params.get("pc.backbone.vfe.b2"))
+                             b1=params["pc.backbone.vfe.b1"])
     layers = []
     for i in range(16):
         key = f"pc.backbone.conv{i}.kernel"
@@ -345,10 +338,7 @@ def train_stage_image(dataset: TrainingSet, cfg: StageConfig) -> StageResult:
                     for img, (dy, dx) in zip(batch_images, shifts)])
             clear_grads(params)
             with Tape() as tape:
-                feats, ow, oh = heads.encode_image_batch(batch_images, encoder)
-                seg = np.repeat(np.arange(len(rows)), oh * ow)
-                pooled = heads.gem_pool_segments(feats, seg, len(rows), head.p)
-                desc = ad.add_rowvec(ad.matmul(pooled, head.fc_w), head.fc_b)
+                desc = heads.encode_images(batch_images, encoder, head)
                 batch = TrainingBatch.from_positions(desc, positions[rows])
                 result = losses.triplet_loss_batch_hard(batch, cfg.triplet)
                 tape.backward(result.loss)
@@ -365,78 +355,52 @@ def train_stage_image(dataset: TrainingSet, cfg: StageConfig) -> StageResult:
     return StageResult(params=params, history=history)
 
 
-# --- stage 2: local feature training ---
+# --- stages 2 and 3: voxel branch against the frozen image branch ---
 
 @dataclass
 class _PreparedSample:
-    cloud: object
-    voxel_seed: int
-    grid: object
+    grid: VoxelGrid
     plans: sparse3d.BackbonePlans
-    projected: object
-    image_map: heads.ImageFeatureMap | None
-    image_descriptor: np.ndarray | None
+    # stage 2: (projection of the backbone's output sites, image feature map);
+    # stage 3: the frozen image descriptor
+    target: tuple[ProjectedFeatureMap, heads.ImageFeatureMap] | Tensor
 
 
 def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
                            backbone: sparse3d.BackboneParams,
                            encoder: heads.ImageEncoderParams,
                            image_head: heads.GemFcnParams,
-                           with_head: bool) -> tuple[list, list[int], int]:
-    """Voxelize, plan convolutions and cache frozen image outputs per sample.
+                           with_head: bool) -> tuple[list[_PreparedSample], int]:
+    """Voxelize, plan convolutions and cache the frozen image target per sample.
 
-    The global stage (with_head) keeps each image descriptor; the local stage
-    keeps each image feature map and the voxel projection into it.
-    Returns (prepared or None per sample, usable indices, skipped count).
+    Returns the usable samples in dataset order and the count skipped.
     """
-    prepared: list[_PreparedSample | None] = []
-    skipped = 0
+    prepared: list[_PreparedSample] = []
     for s in dataset.samples:
-        voxel_seed = sample_voxel_seed(s.sample_id, cfg.seed)
         try:
-            grid = voxelize(s.cloud, dataset.voxel_config, voxel_seed)
+            grid = voxelize(s.cloud, dataset.voxel_config,
+                            sample_voxel_seed(s.sample_id, cfg.seed))
         except (EmptyCloud, AllPointsCulled):
-            prepared.append(None)
-            skipped += 1
             continue
         plans = sparse3d.plan_backbone(grid, backbone)
-
-        image = s.image[..., None] if s.image.ndim == 2 else s.image
-        fmap = heads.image_encode(image, encoder)
-
-        projected = image_map = desc = None
         if with_head:
-            desc = heads.fcn_project(heads.gem_pool(fmap.feats, image_head.p),
-                                     image_head, "image", s.sample_id).numpy().copy()
+            target = heads.image_global_descriptor(s.image, encoder, image_head).vector
         else:
-            image_map = heads.ImageFeatureMap(width=fmap.width, height=fmap.height,
-                                              channels=fmap.channels,
-                                              feats=Tensor(fmap.feats.values))
-            final_coords = plans.plans[-1].out_coords if plans.plans else grid.coords
-            eff = np.asarray(dataset.voxel_config.voxel_size, dtype=float)
-            for layer in backbone.layers:
-                eff = eff * layer.stride
-            probe = sparse3d.SparseFeatureMap(
-                coords=final_coords, feats=Tensor(np.zeros((final_coords.shape[0], 1))),
-                grid_dims=plans.plans[-1].out_dims if plans.plans
-                else dataset.voxel_config.grid_dims,
-                effective_voxel_size=tuple(eff),
-                range_min=dataset.voxel_config.range_min)
+            fmap = heads.image_encode(s.image, encoder)
+            dims = (fmap.width, fmap.height)
             try:
                 if cfg.projection == "perspective":
-                    projected = project_voxels(probe, dataset.projection,
-                                               (fmap.width, fmap.height))
+                    projected = project_voxels(plans.out_coords, plans.out_voxel_size,
+                                               dataset.voxel_config.range_min,
+                                               dataset.projection, dims)
                 else:
-                    projected = orthographic_project(probe, (fmap.width, fmap.height))
+                    projected = orthographic_project(plans.out_coords, plans.out_dims,
+                                                     plans.out_voxel_size, dims)
             except NoVisibleVoxels:
-                prepared.append(None)
-                skipped += 1
                 continue
-        prepared.append(_PreparedSample(cloud=s.cloud, voxel_seed=voxel_seed,
-                                        grid=grid, plans=plans, projected=projected,
-                                        image_map=image_map, image_descriptor=desc))
-    usable = [i for i, p in enumerate(prepared) if p is not None]
-    return prepared, usable, skipped
+            target = (projected, fmap)
+        prepared.append(_PreparedSample(grid=grid, plans=plans, target=target))
+    return prepared, len(dataset.samples) - len(prepared)
 
 
 def _clone_params(params: dict[str, Tensor], prefix: str = "") -> dict[str, Tensor]:
@@ -474,49 +438,36 @@ def _point_branch_stage(dataset: TrainingSet, image_params: dict[str, Tensor],
     trainable = {name: t for name, t in params.items() if t.requires_grad}
     state = AdamState(trainable)
 
-    prepared, usable, skipped = _prepare_point_samples(
+    prepared, skipped = _prepare_point_samples(
         dataset, cfg, backbone, encoder, image_head, with_head)
     if skipped > 0:
         log.info("stage %s: skipped %d unusable pairs", cfg.stage, skipped)
     if skipped > len(dataset.samples) / 2:
         raise DegenerateDataset(f"more than half the pairs unusable ({skipped})")
-    if not usable:
+    if not prepared:
         raise DegenerateDataset("no usable training pairs")
 
     history: list[tuple[int, int, float]] = []
     step = 0
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.base_lr, decay=cfg.lr_decay)
-        order = rng.permutation(len(usable))
+        order = rng.permutation(len(prepared))
         for start in range(0, len(order), cfg.batch_size):
-            rows = [usable[k] for k in order[start:start + cfg.batch_size]]
-            jitters = None
-            if with_head and cfg.cloud_jitter_m > 0:
-                jitters = rng.normal(0.0, cfg.cloud_jitter_m, size=(len(rows), 2))
             clear_grads(params)
             with Tape() as tape:
                 total = None
-                for j, i in enumerate(rows):
-                    prep = prepared[i]
-                    if jitters is None:
-                        grid, plans = prep.grid, prep.plans
-                    else:
-                        # translated copy of the cloud teaches pose robustness
-                        shifted = prep.cloud.points.copy()
-                        shifted[:, :2] += jitters[j]
-                        grid = voxelize(PointCloud(shifted), dataset.voxel_config,
-                                        prep.voxel_seed)
-                        plans = sparse3d.plan_backbone(grid, backbone)
-                    fmap = sparse3d.point_cloud_backbone(grid, backbone, plans)
+                for k in order[start:start + cfg.batch_size]:
+                    prep = prepared[k]
+                    fmap = sparse3d.point_cloud_backbone(prep.grid, backbone, prep.plans)
                     if with_head:
                         pooled = heads.gem_pool(fmap.feats, head.p)
                         desc = heads.fcn_project(pooled, head, "point_cloud")
-                        term = losses.global_descriptor_loss(
-                            Tensor(prep.image_descriptor), desc.vector, cfg.beta)
+                        term = losses.global_descriptor_loss(prep.target, desc.vector,
+                                                             cfg.beta)
                     else:
+                        projected, image_map = prep.target
                         term = losses.local_descriptor_loss(
-                            prep.projected, fmap.feats, prep.image_map,
-                            cfg.local_loss_mode, cfg.beta)
+                            projected, fmap.feats, image_map, cfg.local_loss_mode, cfg.beta)
                     total = term if total is None else ad.add(total, term)
                 tape.backward(total)
             adam_step(trainable, state, lr)
@@ -536,8 +487,8 @@ def train_stage_local(dataset: TrainingSet, image_params: dict[str, Tensor],
 
 def train_stage_global(dataset: TrainingSet, image_params: dict[str, Tensor],
                        local_params: dict[str, Tensor], cfg: StageConfig) -> StageResult:
-    """Fine-tune the backbone and train a fresh head against frozen image
-    descriptors."""
+    """Fine-tune the backbone and train a head, started as a copy of the
+    image head, against frozen image descriptors."""
     if cfg.stage != "global":
         raise ValueError("config stage must be 'global'")
     require_groups(local_params, ["pc.backbone."], cfg.stage)

@@ -62,18 +62,17 @@ def extract_descriptors(dataset, params, cfg: ExperimentConfig):
     pc_head = trainer.pc_head_from(params)
     voxel_config = dataset.voxel_config
 
-    img_desc, pc_desc, positions, runs = [], [], [], []
+    images = np.stack([s.image[..., None] for s in dataset.samples])
+    img_desc = heads.encode_images(images, encoder, image_head).values
+    pc_desc, positions, runs = [], [], []
     for s in dataset.samples:
-        image = s.image[..., None]
-        img_desc.append(heads.image_global_descriptor(image, encoder, image_head,
-                                                      s.sample_id).numpy())
         _, d3 = heads.point_cloud_encode(
             s.cloud, backbone, pc_head, voxel_config,
             sample_voxel_seed(s.sample_id, cfg.seed))
         pc_desc.append(d3.numpy())
         positions.append(s.position)
         runs.append(s.run_id)
-    return (np.asarray(img_desc), np.asarray(pc_desc),
+    return (img_desc, np.asarray(pc_desc),
             np.asarray(positions), np.asarray(runs))
 
 

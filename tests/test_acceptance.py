@@ -55,13 +55,8 @@ def test_criterion_1_projection_oracle():
                                cx_n=rng.uniform(0.3, 0.7), cy_n=rng.uniform(0.3, 0.7),
                                extrinsic=ext)
         w, h = int(rng.integers(4, 48)), int(rng.integers(4, 48))
-        fmap = sparse3d.SparseFeatureMap(
-            coords=coords.astype(np.int64),
-            feats=Tensor(np.zeros((coords.shape[0], 1))),
-            grid_dims=tuple(int(d) for d in dims),
-            effective_voxel_size=tuple(eff), range_min=tuple(lo))
         try:
-            out = project_voxels(fmap, proj, (w, h))
+            out = project_voxels(coords.astype(np.int64), eff, lo, proj, (w, h))
             entry_of = {int(v): e for e, v in enumerate(out.voxel_index)}
         except NoVisibleVoxels:
             out, entry_of = None, {}

@@ -96,6 +96,19 @@ class TestCalibrationFile:
         with pytest.raises(BadMagic):
             dataio.read_calibration(p)
 
+    @pytest.mark.parametrize("line,token,value", [(1, 0, "nan"), (1, 3, "inf"),
+                                                  (3, 3, "-inf"), (4, 0, "nan")])
+    def test_non_finite_rejected(self, tmp_path, line, token, value):
+        p = tmp_path / "cal.txt"
+        dataio.write_calibration(p, synthetic.default_projection_model())
+        lines = p.read_text().splitlines()
+        tokens = lines[line].split()
+        tokens[token] = value
+        lines[line] = " ".join(tokens)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="finite"):
+            dataio.read_calibration(p)
+
 
 class TestManifest:
     @staticmethod
@@ -213,9 +226,24 @@ class TestDescriptorFile:
         descs = np.ones((4, 3))
         descs[2, 1] = value
         p = tmp_path / "d.vxpd"
-        dataio.write_descriptors(p, np.arange(4, dtype=np.uint64) + 10, descs)
+        write_descriptors_per_record(p, np.arange(4, dtype=np.uint64) + 10, descs)
         with pytest.raises(NonFinite, match="record 2 \\(id 12\\)"):
             dataio.read_descriptors(p)
+
+    def test_writer_rejects_duplicate_id(self, tmp_path):
+        p = tmp_path / "d.vxpd"
+        with pytest.raises(DuplicateId, match="id 4 appears 2 times"):
+            dataio.write_descriptors(p, np.array([4, 9, 4], dtype=np.uint64), np.ones((3, 2)))
+        assert not p.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_writer_rejects_non_finite(self, tmp_path, value):
+        descs = np.ones((4, 3))
+        descs[2, 1] = value  # 1e39 is finite in float64 but not in float32
+        p = tmp_path / "d.vxpd"
+        with pytest.raises(NonFinite, match="record 2 \\(id 12\\)"):
+            dataio.write_descriptors(p, np.arange(4, dtype=np.uint64) + 10, descs)
+        assert not p.exists()
 
 
 class TestCheckpointFile:
@@ -244,6 +272,21 @@ class TestCheckpointFile:
         (tmp_path / "bad2").write_bytes(raw[:-5])
         with pytest.raises(TruncatedFile):
             dataio.read_checkpoint(tmp_path / "bad2")
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        p = tmp_path / "c.vxpc"
+        dataio.write_checkpoint(p, {"ab": Tensor(np.ones(3))})
+        p.write_bytes(p.read_bytes().replace(b"ab", b"\xff\xfe", 1))
+        with pytest.raises(MalformedFile, match="UTF-8"):
+            dataio.read_checkpoint(p)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        p = tmp_path / "c.vxpc"
+        dataio.write_checkpoint(p, {"a": Tensor(np.ones(3))})
+        raw = p.read_bytes()
+        p.write_bytes(raw + raw[6:])  # the same record twice
+        with pytest.raises(DuplicateId, match="'a'"):
+            dataio.read_checkpoint(p)
 
 
 class TestSyntheticScenes:

@@ -31,6 +31,18 @@ def test_missing_doc_detected(tmp_path):
         protocols.verify_protocol_docs(tmp_path)
 
 
+@pytest.mark.parametrize("name,value,text", [
+    ("POSITIVE_THRESHOLD_M", 12.5, "closer than 12.5 m"),
+    ("ZERO_TRIPLET_TRIGGER", 0.45, "exceeds 45% of the"),
+    ("REVISIT_MIN_GAP_S", 30.0, "t0 - t > 30.0 s"),
+    ("RECALL_CURVE_MAX_K", 40, "k = 1..40."),
+])
+def test_summaries_rendered_from_constants(monkeypatch, name, value, text):
+    monkeypatch.setattr(constants, name, value)
+    rendered = protocols.render_protocol_docs()["protocols.md"]
+    assert text in rendered.split("## Protocol summaries")[1]
+
+
 def test_constants_agree_with_code_defaults():
     cfg = losses.TripletConfig()
     assert cfg.margin == constants.TRIPLET_MARGIN == 0.3

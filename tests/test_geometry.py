@@ -5,20 +5,7 @@ import pytest
 
 from oracles import scalar_pinhole, voxelize_per_voxel
 from vxp import geometry as geo
-from vxp.autodiff import Tensor
 from vxp.errors import AllPointsCulled, EmptyCloud, NoVisibleVoxels
-from vxp.sparse3d import SparseFeatureMap
-
-
-def make_map(coords, dims, eff_size, range_min):
-    coords = np.asarray(coords, dtype=np.int64)
-    return SparseFeatureMap(
-        coords=coords,
-        feats=Tensor(np.zeros((coords.shape[0], 2))),
-        grid_dims=tuple(dims),
-        effective_voxel_size=tuple(eff_size),
-        range_min=tuple(range_min),
-    )
 
 
 def identity_projection(fx=0.5, fy=0.5, cx=0.5, cy=0.5):
@@ -147,28 +134,26 @@ class TestVoxelCenter:
 class TestProjectVoxels:
     def test_principal_axis_point(self):
         # one voxel whose center lands at camera-frame (0, 0, 10)
-        fmap = make_map([[0, 0, 0]], (1, 1, 1), (1, 1, 20), (-0.5, -0.5, 0.0))
         proj = identity_projection()
-        out = geo.project_voxels(fmap, proj, (28, 28))
+        out = geo.project_voxels(np.array([[0, 0, 0]]), (1, 1, 20), (-0.5, -0.5, 0.0),
+                                 proj, (28, 28))
         assert out.num_entries == 1
         assert (out.pixel_u[0], out.pixel_v[0]) == (14, 14)
         assert out.depth[0] == 10.0
         assert out.inverse_depth[0] == 0.1
 
     def test_behind_camera_culled(self):
-        fmap = make_map([[0, 0, 0]], (1, 1, 1), (1, 1, 10), (-0.5, -0.5, -10.0))
         with pytest.raises(NoVisibleVoxels):
-            geo.project_voxels(fmap, identity_projection(), (28, 28))
+            geo.project_voxels(np.array([[0, 0, 0]]), (1, 1, 10), (-0.5, -0.5, -10.0),
+                               identity_projection(), (28, 28))
 
     def test_collision_set_keeps_both_depths(self):
-        fmap = make_map([[0, 0, 0], [0, 0, 1]], (1, 1, 2), (1, 1, 5), (-0.5, -0.5, 2.5))
-        out = geo.project_voxels(fmap, identity_projection(), (4, 4))
-        groups = out.collision_groups()
-        assert len(groups) == 1
-        (entries,) = groups.values()
-        inv = sorted(out.inverse_depth[entries])
-        assert np.allclose(inv, [0.1, 0.2])
-        assert len(set(out.voxel_index[entries])) == 2
+        out = geo.project_voxels(np.array([[0, 0, 0], [0, 0, 1]]), (1, 1, 5),
+                                 (-0.5, -0.5, 2.5), identity_projection(), (4, 4))
+        flat = out.pixel_flat()
+        assert flat.shape == (2,) and flat[0] == flat[1]
+        assert np.allclose(sorted(out.inverse_depth), [0.1, 0.2])
+        assert sorted(out.voxel_index) == [0, 1]
 
     def test_matches_scalar_oracle_randomized(self):
         rng = np.random.default_rng(17)
@@ -190,9 +175,8 @@ class TestProjectVoxels:
                 cx_n=rng.uniform(0.3, 0.7), cy_n=rng.uniform(0.3, 0.7),
                 extrinsic=ext)
             w, h = int(rng.integers(4, 40)), int(rng.integers(4, 40))
-            fmap = make_map(coords, dims, eff, lo)
             try:
-                out = geo.project_voxels(fmap, proj, (w, h))
+                out = geo.project_voxels(coords, eff, lo, proj, (w, h))
                 visible = {int(i) for i in out.voxel_index}
             except NoVisibleVoxels:
                 visible = set()
@@ -212,39 +196,36 @@ class TestProjectVoxels:
     def test_inverse_depths_positive(self):
         rng = np.random.default_rng(3)
         coords = np.unique(rng.integers(0, 6, size=(40, 3)), axis=0)
-        fmap = make_map(coords, (6, 6, 6), (1, 1, 1), (-3, -3, 0.5))
-        out = geo.project_voxels(fmap, identity_projection(), (16, 16))
+        out = geo.project_voxels(coords, (1, 1, 1), (-3, -3, 0.5),
+                                 identity_projection(), (16, 16))
         assert np.all(out.inverse_depth > 0)
 
 
 class TestOrthographicProject:
     def test_forward_axis_dropped(self):
         for k in (0, 5, 27):
-            fmap = make_map([[k, 0, 0]], (28, 28, 28), (1.6, 1.6, 0.8), (0, -22, -4))
-            out = geo.orthographic_project(fmap, (28, 28))
+            out = geo.orthographic_project(np.array([[k, 0, 0]]), (28, 28, 28),
+                                           (1.6, 1.6, 0.8), (28, 28))
             assert (out.pixel_u[0], out.pixel_v[0]) == (0, 0)
 
     def test_extremal_coordinate(self):
-        fmap = make_map([[3, 27, 27]], (28, 28, 28), (1.6, 1.6, 0.8), (0, -22, -4))
-        out = geo.orthographic_project(fmap, (28, 28))
+        out = geo.orthographic_project(np.array([[3, 27, 27]]), (28, 28, 28),
+                                       (1.6, 1.6, 0.8), (28, 28))
         assert (out.pixel_u[0], out.pixel_v[0]) == (27, 27)
 
     def test_pixels_invariant_to_forward_permutation(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             coords = np.unique(rng.integers(0, 10, size=(30, 3)), axis=0)
-            fmap = make_map(coords, (10, 10, 10), (1, 1, 1), (0, -5, -5))
-            out = geo.orthographic_project(fmap, (14, 7))
+            out = geo.orthographic_project(coords, (10, 10, 10), (1, 1, 1), (14, 7))
             permuted = coords.copy()
             permuted[:, 0] = (permuted[:, 0] + 3) % 10
-            out2 = geo.orthographic_project(
-                make_map(permuted, (10, 10, 10), (1, 1, 1), (0, -5, -5)), (14, 7))
+            out2 = geo.orthographic_project(permuted, (10, 10, 10), (1, 1, 1), (14, 7))
             assert np.array_equal(out.pixel_u, out2.pixel_u)
             assert np.array_equal(out.pixel_v, out2.pixel_v)
 
     def test_depths_positive_for_bookkeeping(self):
-        fmap = make_map([[0, 1, 1]], (4, 4, 4), (1, 1, 1), (0, 0, 0))
-        out = geo.orthographic_project(fmap, (4, 4))
+        out = geo.orthographic_project(np.array([[0, 1, 1]]), (4, 4, 4), (1, 1, 1), (4, 4))
         assert np.all(out.depth > 0)
 
 

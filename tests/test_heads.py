@@ -52,6 +52,20 @@ class TestImageEncode:
         assert ad.check_gradient(f, params.block_w[0]) < 1e-4
 
 
+def test_encode_images_matches_per_image_gem_and_fc(rng):
+    encoder = heads.init_image_encoder_params(1, rng, channels=(3, 4, 5))
+    head = heads.init_gem_fcn_params(5, 7, rng)
+    imgs = rng.uniform(0, 1, size=(3, 24, 16, 1))
+    batched = heads.encode_images(imgs, encoder, head).values
+    assert batched.shape == (3, 7)
+    for i in range(3):
+        single = heads.image_global_descriptor(imgs[i], encoder, head, "s").numpy()
+        fmap = heads.image_encode(imgs[i], encoder)
+        plain = heads.fcn_project(heads.gem_pool(fmap.feats, head.p), head, "image").numpy()
+        assert np.allclose(batched[i], single, rtol=1e-12, atol=0.0)
+        assert np.allclose(batched[i], plain, rtol=1e-12, atol=1e-15)
+
+
 class TestGemPool:
     def test_p_one_is_arithmetic_mean(self, rng):
         feats = rng.uniform(0.1, 2.0, size=(7, 5))
@@ -188,8 +202,7 @@ def test_end_to_end_descriptor_gradient(rng):
     img = rng.uniform(0.1, 1.0, size=(8, 8, 1))
 
     def f_p(p):
-        fmap = heads.image_encode(img, encoder)
         probe = heads.GemFcnParams(p=p, fc_w=head.fc_w, fc_b=head.fc_b)
-        return ad.l2norm(heads.fcn_project(heads.gem_pool(fmap.feats, p), probe, "image").vector)
+        return ad.l2norm(heads.encode_images(img[None], encoder, probe))
 
     assert ad.check_gradient(f_p, Tensor(2.3)) < 1e-4

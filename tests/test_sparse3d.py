@@ -39,7 +39,7 @@ class TestVfe:
     def test_permutation_invariance(self):
         pts = [[0.1, 0.2, 0.3], [0.8, 0.1, 0.9], [0.4, 0.6, 0.5]]
         rng = np.random.default_rng(1)
-        params = s3.init_vfe_params(6, rng, second_layer=True)
+        params = s3.init_vfe_params(6, rng)
         a = s3.vfe_encode(small_grid(pts), params)
         b = s3.vfe_encode(small_grid(pts[::-1]), params)
         assert np.allclose(a.feats.values, b.feats.values)
@@ -256,6 +256,10 @@ class TestBackbone:
         assert np.array_equal(a.feats.values, b.feats.values)
         c = s3.point_cloud_backbone(grid, params)
         assert np.array_equal(a.feats.values, c.feats.values)
+        # the plans place the output sites without running the backbone
+        assert np.array_equal(plans.out_coords, a.coords)
+        assert plans.out_dims == a.grid_dims
+        assert plans.out_voxel_size == a.effective_voxel_size
 
     def test_gradient_of_readout_wrt_vfe_weights(self):
         grid = small_grid(np.random.default_rng(13).uniform(0.1, 3.9, (10, 3)))

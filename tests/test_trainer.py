@@ -71,7 +71,7 @@ class TestLrSchedule:
 
     def test_constant_fn(self):
         for e in range(5):
-            assert trainer.lr_schedule(e, 0.5, multiplier_fn=lambda _: 1.0) == 0.5
+            assert trainer.lr_schedule(e, 0.5, decay=1.0) == 0.5
 
 
 @pytest.fixture(scope="module")
