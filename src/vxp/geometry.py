@@ -214,8 +214,7 @@ def project_voxels(coords: np.ndarray, voxel_size, range_min, proj: ProjectionMo
     width, height = int(feat_dims[0]), int(feat_dims[1])
     if width < 1 or height < 1:
         raise ValueError("feature map dims must be >= 1")
-    centers = coords * np.asarray(voxel_size) + np.asarray(voxel_size) / 2.0 \
-        + np.asarray(range_min)
+    centers = voxel_center_to_lidar(coords, voxel_size, range_min)
 
     rot = proj.extrinsic[:3, :3]
     trans = proj.extrinsic[:3, 3]
