@@ -1,10 +1,16 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
 The scope is deliberately small: exactly the primitives the encoder heads,
 sparse convolutions and losses need, recorded on an explicit tape and
 differentiated by a reverse walk. Ops record onto the innermost active
 ``Tape`` whenever an input requires gradients; without an active tape the
 same functions run as plain numpy (inference mode).
+
+One compute dtype is active at a time: float64 by default, float32 inside
+``precision(np.float32)``, which the training stages use. A ``Tensor`` casts
+its values to the active dtype, primitives allocate in their input's dtype,
+and ``Tape.backward`` stores each gradient in its tensor's dtype, so nothing
+is silently promoted to float64 inside a float32 region.
 
 Conventions fixed here so tests are deterministic:
   * ReLU gradient at exactly 0 is 0.
@@ -14,7 +20,8 @@ Conventions fixed here so tests are deterministic:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import contextlib
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,19 +31,35 @@ from .errors import NonFinite, NotScalar, ShapeMismatch
 # off by default to keep training loops lean.
 _CHECK_FINITE = False
 
+# The dtype every new Tensor takes; changed only through precision().
+_DTYPE: type = np.float64
+
 
 def set_debug_checks(enabled: bool) -> None:
     global _CHECK_FINITE
     _CHECK_FINITE = bool(enabled)
 
 
+@contextlib.contextmanager
+def precision(dtype) -> Iterator[None]:
+    """Make dtype the compute dtype inside the block; the previous one is
+    restored on exit, also when the block raises."""
+    global _DTYPE
+    previous, _DTYPE = _DTYPE, np.dtype(dtype).type
+    try:
+        yield
+    finally:
+        _DTYPE = previous
+
+
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer."""
+    """A dense array in the active compute dtype plus an optional gradient
+    buffer."""
 
     __slots__ = ("values", "requires_grad", "grad")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = np.asarray(values, dtype=np.float64)
+        self.values = np.asarray(values, dtype=_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -103,7 +126,8 @@ class Tape:
                     holders[key] = inp
         for key, tensor in holders.items():
             if tensor.requires_grad:
-                tensor.grad = np.asarray(grads[key], dtype=np.float64).reshape(tensor.shape)
+                tensor.grad = np.asarray(grads[key], dtype=tensor.values.dtype
+                                         ).reshape(tensor.shape)
 
 
 def _active_tape() -> Tape | None:
@@ -160,7 +184,7 @@ def add_scalar(a: Tensor, s: float) -> Tensor:
 
 def cmul(a: Tensor, const: np.ndarray) -> Tensor:
     """Elementwise multiply by a constant (non-differentiated) array."""
-    const = np.asarray(const, dtype=np.float64)
+    const = np.asarray(const, dtype=a.values.dtype)
     if const.shape != a.shape:
         raise ShapeMismatch(f"cmul: {a.shape} vs {const.shape}")
     return _finish(a.values * const, (a,), lambda g: (g * const,))
@@ -195,7 +219,7 @@ def power_t(a: Tensor, p: Tensor) -> Tensor:
         safe = av > 0.0
         logs = np.where(safe, np.log(np.where(safe, av, 1.0)), 0.0)
         gp = np.sum(g * out * logs)
-        return ga, np.full(p.shape, gp)
+        return ga, np.full(p.shape, gp, dtype=p.values.dtype)
 
     return _finish(out, (a, p), grad_fn)
 
@@ -238,7 +262,7 @@ def add_rowvec(a: Tensor, row: Tensor) -> Tensor:
 
 def scale_rows(a: Tensor, col: np.ndarray) -> Tensor:
     """Scale row i of an (n, d) matrix by constant col[i]."""
-    col = np.asarray(col, dtype=np.float64)
+    col = np.asarray(col, dtype=a.values.dtype)
     if a.values.ndim != 2 or col.shape != (a.shape[0],):
         raise ShapeMismatch(f"scale_rows: {a.shape} by {col.shape}")
     return _finish(a.values * col[:, None], (a,), lambda g: (g * col[:, None],))
@@ -262,7 +286,7 @@ def l2norm(a: Tensor) -> Tensor:
     n = float(np.sqrt(np.sum(a.values ** 2)))
     av = a.values
     denom = n if n > 0.0 else 1.0
-    return _finish(np.asarray(n), (a,), lambda g: (g * av / denom,))
+    return _finish(np.asarray(n, dtype=av.dtype), (a,), lambda g: (g * av / denom,))
 
 
 def rownorm(a: Tensor) -> Tensor:
@@ -278,13 +302,16 @@ def rownorm(a: Tensor) -> Tensor:
 # --- indexed row movement (shared by convolutions and losses) ---
 
 def _scatter_add_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Rows of g accumulated into an (n, d) buffer at idx (repeats summed)."""
+    """Rows of g accumulated into an (n, d) buffer at idx (repeats summed),
+    returned in g's dtype."""
     d = g.shape[1] if g.ndim == 2 else 1
     if g.size > 4096:
-        # bincount is much faster than ufunc.at for large gathers
+        # bincount is much faster than ufunc.at for large gathers; it always
+        # accumulates in float64
         flat = (idx[:, None] * d + np.arange(d)).ravel()
-        return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
-    buf = np.zeros((n, d))
+        out = np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
+        return out.astype(g.dtype, copy=False)
+    buf = np.zeros((n, d), dtype=g.dtype)
     np.add.at(buf, idx, g)
     return buf
 
@@ -297,10 +324,44 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
                    lambda g: (_scatter_add_rows(g, idx, n),))
 
 
-def pad_zero_row(a: Tensor) -> Tensor:
-    """Append one all-zero row to an (n, d) matrix; gradient drops it."""
-    out = np.vstack([a.values, np.zeros((1, a.shape[1]))])
-    return _finish(out, (a,), lambda g: (g[:-1],))
+# (dy, dx) of the nine taps of a 3x3 patch, row-major
+_TAPS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+
+
+def patches_3x3_s2(a: Tensor, batch: int, height: int, width: int) -> Tensor:
+    """3x3 stride-2 patches of a batch of images -> (batch*oh*ow, 9*c).
+
+    a holds (batch*height*width, c) rows, sample-major then row-major. Output
+    pixel (oy, ox) takes input cells (2*oy + dy, 2*ox + dx), dy, dx in
+    {-1, 0, 1}, in row-major tap order; cells above or left of the image read
+    zero. oh, ow = height//2, width//2, so for odd extents the trailing row
+    or column is cropped. Each tap is one strided slice of a buffer padded by
+    one zero row and column on the low side.
+    """
+    c = a.shape[1]
+    if a.values.ndim != 2 or a.shape[0] != batch * height * width:
+        raise ShapeMismatch(f"patches_3x3_s2: {a.shape} for {batch}x{height}x{width}")
+    oh, ow = height // 2, width // 2
+    buf = np.zeros((batch, height + 1, width + 1, c), dtype=a.values.dtype)
+    buf[:, 1:, 1:] = a.values.reshape(batch, height, width, c)
+    # buffer row 1 + 2*oy + dy for oy < oh, as one slice per tap
+    views = [(slice(1 + dy, 1 + dy + 2 * oh, 2), slice(1 + dx, 1 + dx + 2 * ow, 2))
+             for dy, dx in _TAPS]
+    out = np.empty((batch, oh, ow, 9, c), dtype=a.values.dtype)
+    for t, (rows, cols) in enumerate(views):
+        out[:, :, :, t] = buf[:, rows, cols]
+
+    def grad_fn(g):
+        g = g.reshape(batch, oh, ow, 9, c)
+        gbuf = np.zeros_like(buf)
+        # reverse tap order: each cell sums its contributions in the order of
+        # output rows (pixel-major, then tap), as a row scatter-add does
+        for t in reversed(range(9)):
+            rows, cols = views[t]
+            gbuf[:, rows, cols] += g[:, :, :, t]
+        return (gbuf[:, 1:, 1:].reshape(batch * height * width, c),)
+
+    return _finish(out.reshape(batch * oh * ow, 9 * c), (a,), grad_fn)
 
 
 def rulebook_matmul(a: Tensor, kernel: Tensor,
@@ -318,7 +379,7 @@ def rulebook_matmul(a: Tensor, kernel: Tensor,
                             f"and kernel {kernel.shape}")
     c_in = av.shape[1]
     blocks = [kv[d * c_in:(d + 1) * c_in] for d in range(len(rules))]
-    out = np.zeros((num_rows, kv.shape[1]))
+    out = np.zeros((num_rows, kv.shape[1]), dtype=av.dtype)
     for (i, o), w in zip(rules, blocks):
         out[o] += av[i] @ w
 

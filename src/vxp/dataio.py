@@ -16,6 +16,7 @@ reads.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,15 +146,24 @@ def parse_kitti_calib(path, image_dims: tuple[int, int]) -> ProjectionModel:
             raise MissingKey(f"{path}: missing {key!r} row")
         if len(rows[key]) != 12:
             raise ParseError(f"{path}: {key!r} row needs 12 floats, got {len(rows[key])}")
+        if not np.isfinite(rows[key]).all():
+            raise ParseError(f"{path}: {key!r} values must be finite")
     p2 = np.asarray(rows["P2"]).reshape(3, 4)
     tr = np.asarray(rows["Tr"]).reshape(3, 4)
     extrinsic = np.eye(4)
     extrinsic[:3, :] = tr
     width, height = image_dims
-    return ProjectionModel(
-        fx_n=p2[0, 0] / width, fy_n=p2[1, 1] / height,
-        cx_n=p2[0, 2] / width, cy_n=p2[1, 2] / height,
-        extrinsic=extrinsic)
+    return _projection_model(path, p2[0, 0] / width, p2[1, 1] / height,
+                             p2[0, 2] / width, p2[1, 2] / height, extrinsic)
+
+
+def _projection_model(path, fx, fy, cx, cy, extrinsic) -> ProjectionModel:
+    """ProjectionModel of a calibration file; its ValueError (a focal length
+    <= 0 or a rotation that is not orthonormal) becomes a ParseError."""
+    try:
+        return ProjectionModel(fx_n=fx, fy_n=fy, cx_n=cx, cy_n=cy, extrinsic=extrinsic)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_calibration(path, proj: ProjectionModel) -> None:
@@ -186,7 +196,7 @@ def read_calibration(path) -> ProjectionModel:
         raise ParseError(f"{path}: intrinsics and extrinsic must be finite")
     extrinsic = np.eye(4)
     extrinsic[:3, :] = rows
-    return ProjectionModel(fx_n=fx, fy_n=fy, cx_n=cx, cy_n=cy, extrinsic=extrinsic)
+    return _projection_model(path, fx, fy, cx, cy, extrinsic)
 
 
 # --- manifests ---
@@ -218,6 +228,8 @@ def parse_manifest(path) -> list[SampleManifestRow]:
             pos = (float(rec[2]), float(rec[3]), float(rec[4]))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad float") from exc
+        if not all(map(math.isfinite, (ts, *pos))):
+            raise ParseError(f"{path}:{lineno}: timestamp and position must be finite")
         rows.append(SampleManifestRow(
             sample_id=sample_id, timestamp_s=ts, position=pos,
             cloud_path=rec[5], image_path=rec[6], run_id=rec[7]))
@@ -377,6 +389,8 @@ def read_checkpoint(path) -> dict[str, Tensor]:
         if offset + 8 * n_values > len(raw):
             raise TruncatedFile(f"{path}: values cut short in {name!r}")
         values = np.frombuffer(raw, dtype="<f8", count=n_values, offset=offset)
+        if not np.isfinite(values).all():
+            raise NonFinite(f"{path}: tensor {name!r} has non-finite values")
         offset += 8 * n_values
         params[name] = Tensor(values.reshape(extents))
     return params

@@ -15,7 +15,6 @@ regresses raw vectors, and retrieval uses the same raw geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -119,27 +118,6 @@ def init_image_encoder_params(in_channels: int, rng: np.random.Generator,
                               input_gain=Tensor(float(input_gain)))
 
 
-@lru_cache(maxsize=32)
-def _patch_indices(height: int, width: int) -> np.ndarray:
-    """Flat indices of 3x3 stride-2 patches, 9 consecutive rows per output
-    pixel; out-of-bounds cells point at the zero pad row (height*width).
-
-    Output dims are exactly (height//2, width//2): centers sit at even
-    pixels, and for odd extents the trailing row/column is cropped.
-    """
-    oh, ow = height // 2, width // 2
-    pad = height * width
-    oy, ox = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-    rows = []
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            iy = 2 * oy + dy
-            ix = 2 * ox + dx
-            inside = (iy >= 0) & (iy < height) & (ix >= 0) & (ix < width)
-            rows.append(np.where(inside, iy * width + ix, pad))
-    return np.stack(rows, axis=-1).reshape(-1)
-
-
 def encode_image_batch(images: np.ndarray, params: ImageEncoderParams
                        ) -> tuple[Tensor, int, int]:
     """Encode a (B, H, W, C) batch; returns ((B*H//8*W//8), D) plus out dims.
@@ -154,14 +132,7 @@ def encode_image_batch(images: np.ndarray, params: ImageEncoderParams
     x = Tensor(images.reshape(b * h * w, c) * gain)
     ch, cw = h, w
     for wt, bt in zip(params.block_w, params.block_b):
-        idx = _patch_indices(ch, cw)
-        per_img = ch * cw
-        # per-image offset, except pad cells which map to the shared pad row
-        all_idx = np.where(idx[None, :] == ch * cw,
-                           b * per_img,
-                           idx[None, :] + (np.arange(b) * per_img)[:, None]).reshape(-1)
-        padded = ad.pad_zero_row(x)
-        patches = ad.reshape(ad.gather_rows(padded, all_idx), (-1, 9 * x.shape[1]))
+        patches = ad.patches_3x3_s2(x, b, ch, cw)
         x = ad.relu(ad.add_rowvec(ad.matmul(patches, wt), bt))
         ch, cw = ch // 2, cw // 2
     return x, cw, ch
@@ -195,8 +166,7 @@ def gem_pool(features: Tensor, p: Tensor) -> Tensor:
     x = ad.clamp_min(features, GEM_EPS)
     powered = ad.power_t(x, p)
     mean_pow = ad.smul(ad.tsum(powered, axis=0), 1.0 / n)
-    inv_p = ad.power(p, -1.0)
-    return ad.power_t(mean_pow, inv_p)
+    return _gem_root(mean_pow, p)
 
 
 def gem_pool_segments(features: Tensor, segment_ids: np.ndarray, num_segments: int,
@@ -211,8 +181,16 @@ def gem_pool_segments(features: Tensor, segment_ids: np.ndarray, num_segments: i
     powered = ad.power_t(x, p)
     mean_pow = ad.scale_rows(ad.segment_sum(powered, segment_ids, num_segments),
                              1.0 / counts)
-    inv_p = ad.power(p, -1.0)
-    return ad.power_t(mean_pow, inv_p)
+    return _gem_root(mean_pow, p)
+
+
+def _gem_root(mean_pow: Tensor, p: Tensor) -> Tensor:
+    """mean_pow^(1/p). The floor at the dtype's smallest normal number keeps
+    the root's gradient finite where a channel's mean power underflows to 0:
+    an all-zero channel does so in float32 once p exceeds about 3.7. It never
+    binds in float64 (GEM_EPS^p is far above it for any practical p)."""
+    floor = float(np.finfo(mean_pow.values.dtype).tiny)
+    return ad.power_t(ad.clamp_min(mean_pow, floor), ad.power(p, -1.0))
 
 
 def fcn_project(pooled: Tensor, params: GemFcnParams, modality: str,

@@ -152,7 +152,7 @@ def zero_triplet_expansion(zero_count: int, batch_size: int,
 def _huber_elements(x: Tensor, beta: float) -> Tensor:
     """Elementwise smooth-L1: 0.5 x^2/beta below beta, |x| - beta/2 above."""
     absx = ad.absolute(x)
-    quad_region = (absx.values < beta).astype(np.float64)
+    quad_region = (absx.values < beta).astype(absx.values.dtype)
     quad = ad.smul(ad.mul(x, x), 0.5 / beta)
     lin = ad.add_scalar(absx, -0.5 * beta)
     return ad.add(ad.cmul(quad, quad_region), ad.cmul(lin, 1.0 - quad_region))

@@ -11,6 +11,10 @@ Checkpoints are flat name->tensor dicts with prefixes "image." and "pc.";
 stage prerequisites are enforced by checking for those groups. Every stage
 is bitwise deterministic given (config, seed): all randomness flows from one
 generator, data order is fixed, and parameters update in sorted-name order.
+
+Each stage computes in float32 and returns float64 parameters (widening is
+exact); the frozen image branch of stages 2 and 3 is returned exactly as it
+was given, never rounded through float32.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ log = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Training computes in float32, as the paper's PyTorch setting does;
+# checkpoints and inference stay float64.
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -309,6 +317,13 @@ def train_stage_image(dataset: TrainingSet, cfg: StageConfig) -> StageResult:
     """Minimize the batch-hard triplet loss over image descriptors."""
     if cfg.stage != "image":
         raise ValueError("config stage must be 'image'")
+    with ad.precision(TRAIN_DTYPE):
+        params, history = _fit_image_branch(dataset, cfg)
+    return StageResult(params=_checkpoint_params(params), history=history)
+
+
+def _fit_image_branch(dataset: TrainingSet, cfg: StageConfig
+                      ) -> tuple[dict[str, Tensor], list[tuple[int, int, float]]]:
     rng = np.random.default_rng(cfg.seed)
     in_channels = 1
     params = init_image_params(cfg, rng, in_channels)
@@ -351,8 +366,7 @@ def train_stage_image(dataset: TrainingSet, cfg: StageConfig) -> StageResult:
         if triggered != batch_size:
             log.info("zero-triplet expansion: batch %d -> %d", batch_size, triggered)
             batch_size = triggered
-    clear_grads(params)
-    return StageResult(params=params, history=history)
+    return params, history
 
 
 # --- stages 2 and 3: voxel branch against the frozen image branch ---
@@ -404,16 +418,36 @@ def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
 
 
 def _clone_params(params: dict[str, Tensor], prefix: str = "") -> dict[str, Tensor]:
-    """Fresh tensors so a stage never mutates the checkpoint it was given."""
+    """Fresh tensors in the compute dtype, so a stage never mutates the
+    checkpoint it was given."""
     return {name: Tensor(t.values.copy()) for name, t in params.items()
             if name.startswith(prefix)}
+
+
+def _checkpoint_params(params: dict[str, Tensor], prefix: str = "") -> dict[str, Tensor]:
+    """Float64 copies for a StageResult; widening float32 is exact."""
+    with ad.precision(np.float64):
+        return _clone_params(params, prefix)
 
 
 def _point_branch_stage(dataset: TrainingSet, image_params: dict[str, Tensor],
                         cfg: StageConfig, with_head: bool,
                         resume_params: dict[str, Tensor] | None = None) -> StageResult:
-    rng = np.random.default_rng(cfg.seed)
     require_groups(image_params, ["image."], cfg.stage)
+    with ad.precision(TRAIN_DTYPE):
+        params, history, skipped = _fit_point_branch(dataset, image_params, cfg,
+                                                     with_head, resume_params)
+    # the frozen image branch goes back exactly as given, not via float32
+    out = _checkpoint_params(image_params, "image.")
+    out.update(_checkpoint_params(params, "pc."))
+    return StageResult(params=out, history=history, skipped_pairs=skipped)
+
+
+def _fit_point_branch(dataset: TrainingSet, image_params: dict[str, Tensor],
+                      cfg: StageConfig, with_head: bool,
+                      resume_params: dict[str, Tensor] | None
+                      ) -> tuple[dict[str, Tensor], list[tuple[int, int, float]], int]:
+    rng = np.random.default_rng(cfg.seed)
     params = _clone_params(image_params, "image.")
     set_requires_grad(params, "image.", False)
     encoder, image_head = image_branch_from(params)
@@ -473,8 +507,7 @@ def _point_branch_stage(dataset: TrainingSet, image_params: dict[str, Tensor],
             adam_step(trainable, state, lr)
             history.append((epoch, step, float(total.values)))
             step += 1
-    clear_grads(params)
-    return StageResult(params=params, history=history, skipped_pairs=skipped)
+    return params, history, skipped
 
 
 def train_stage_local(dataset: TrainingSet, image_params: dict[str, Tensor],

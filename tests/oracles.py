@@ -180,3 +180,48 @@ def write_descriptors_per_record(path, ids, descriptors):
         out += payload[i].tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(out))
+
+
+def patch_indices_3x3_s2(height, width):
+    """Flat indices of 3x3 stride-2 patches, 9 consecutive rows per output
+    pixel; out-of-bounds cells point at the zero pad row (height*width).
+
+    Output dims are exactly (height//2, width//2): centers sit at even
+    pixels, and for odd extents the trailing row/column is cropped.
+    """
+    oh, ow = height // 2, width // 2
+    pad = height * width
+    oy, ox = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
+    rows = []
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            iy = 2 * oy + dy
+            ix = 2 * ox + dx
+            inside = (iy >= 0) & (iy < height) & (ix >= 0) & (ix < width)
+            rows.append(np.where(inside, iy * width + ix, pad))
+    return np.stack(rows, axis=-1).reshape(-1)
+
+
+def patches_by_gather(values, batch, height, width):
+    """3x3 stride-2 patches of (batch*height*width, c) rows by a row gather
+    from a matrix with one appended zero pad row.
+
+    Returns the (batch*oh*ow, 9*c) patches and a function taking their
+    gradient to the input's: a float64 bincount scatter-add over the same
+    gather indices, with the pad row's share dropped.
+    """
+    n, c = values.shape
+    idx = patch_indices_3x3_s2(height, width)
+    per_img = height * width
+    # per-image offset, except pad cells which map to the shared pad row
+    all_idx = np.where(idx[None, :] == per_img, n,
+                       idx[None, :] + (np.arange(batch) * per_img)[:, None]).reshape(-1)
+    padded = np.vstack([values, np.zeros((1, c), dtype=values.dtype)])
+    patches = padded[all_idx].reshape(-1, 9 * c)
+
+    def backward(grad):
+        flat = (all_idx[:, None] * c + np.arange(c)).ravel()
+        summed = np.bincount(flat, weights=grad.reshape(-1), minlength=(n + 1) * c)
+        return summed.reshape(n + 1, c)[:n]
+
+    return patches, backward

@@ -7,6 +7,8 @@ from vxp import autodiff as ad
 from vxp.errors import NonFinite, NotScalar, ShapeMismatch
 from vxp.sparse3d import plan_sparse_conv
 
+import oracles
+
 
 @pytest.fixture(autouse=True)
 def _debug_checks():
@@ -228,3 +230,56 @@ def test_recorded_only_when_input_requires_grad():
         assert len(tape.entries) == 0
         ad.mul(ad.Tensor([1.0], requires_grad=True), ad.Tensor([2.0]))
         assert len(tape.entries) == 1
+
+
+@pytest.mark.parametrize("b,h,w,c", [(1, 64, 64, 1), (3, 9, 7, 2), (2, 8, 8, 32)])
+def test_patches_3x3_s2_match_row_gather(b, h, w, c):
+    rng = np.random.default_rng(h * w + c)
+    x = rng.normal(size=(b * h * w, c))
+    want, want_backward = oracles.patches_by_gather(x, b, h, w)
+    g = rng.normal(size=want.shape)
+    probe = ad.Tensor(x, requires_grad=True)
+    with ad.Tape() as tape:
+        out = ad.patches_3x3_s2(probe, b, h, w)
+        tape.backward(ad.tsum(ad.cmul(out, g)))
+    assert out.values.tobytes() == want.tobytes()
+    assert probe.grad.tobytes() == want_backward(g).tobytes()
+
+
+def test_patches_3x3_s2_gradient_odd_extents():
+    rng = np.random.default_rng(4)
+    const = rng.normal(size=(2 * 2 * 3, 9 * 2))
+    err = ad.check_gradient(
+        lambda t: ad.l2norm(ad.cmul(ad.patches_3x3_s2(t, 2, 5, 7), const)),
+        ad.Tensor(rng.normal(size=(2 * 5 * 7, 2))))
+    assert err < 1e-6
+
+
+def test_patches_3x3_s2_shape_checked():
+    with pytest.raises(ShapeMismatch):
+        ad.patches_3x3_s2(ad.Tensor(np.ones((10, 2))), 1, 3, 4)
+
+
+def test_precision_sets_tensor_dtype_and_restores_after_exception():
+    with ad.precision(np.float32):
+        assert ad.Tensor([1.0]).values.dtype == np.float32
+        with pytest.raises(RuntimeError):
+            with ad.precision(np.float64):
+                assert ad.Tensor([1.0]).values.dtype == np.float64
+                raise RuntimeError("inside")
+        assert ad.Tensor([1.0]).values.dtype == np.float32
+    assert ad.Tensor([1.0]).values.dtype == np.float64
+
+
+@pytest.mark.parametrize("repeats", [2, 400], ids=["add_at", "bincount"])
+def test_float32_gather_and_scale_stay_float32(repeats):
+    rng = np.random.default_rng(2)
+    with ad.precision(np.float32):
+        x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        with ad.Tape() as tape:
+            ad.gather_rows(ad.scale_rows(x, np.arange(1.0, 5.0)),
+                           np.arange(4).repeat(repeats))
+    for entry in tape.entries:
+        assert entry.output.values.dtype == np.float32
+        (grad,) = entry.grad_fn(np.ones_like(entry.output.values))
+        assert grad.dtype == np.float32

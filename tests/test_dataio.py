@@ -80,6 +80,18 @@ class TestKittiCalib:
         with pytest.raises(ParseError):
             dataio.parse_kitti_calib(p, (1, 1))
 
+    @pytest.mark.parametrize("p2,tr,match", [
+        ("1 0 0.5 0 0 1 0.5 0 0 0 1 0", "2 0 0 0 0 1 0 0 0 0 1 0", "orthonormal"),
+        ("0 0 0.5 0 0 1 0.5 0 0 0 1 0", "1 0 0 0 0 1 0 0 0 0 1 0", "focal"),
+        ("nan 0 0.5 0 0 1 0.5 0 0 0 1 0", "1 0 0 0 0 1 0 0 0 0 1 0", "'P2'.*finite"),
+        ("1 0 0.5 0 0 1 0.5 0 0 0 1 0", "1 0 0 inf 0 1 0 0 0 0 1 0", "'Tr'.*finite"),
+    ], ids=["rotation", "focal", "nan_p2", "inf_tr"])
+    def test_invalid_model_is_parse_error(self, tmp_path, p2, tr, match):
+        p = tmp_path / "calib.txt"
+        p.write_text(f"P2: {p2}\nTr: {tr}\n")
+        with pytest.raises(ParseError, match=f"calib.txt: .*{match}"):
+            dataio.parse_kitti_calib(p, (1, 1))
+
 
 class TestCalibrationFile:
     def test_round_trip(self, tmp_path):
@@ -107,6 +119,19 @@ class TestCalibrationFile:
         lines[line] = " ".join(tokens)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="finite"):
+            dataio.read_calibration(p)
+
+    @pytest.mark.parametrize("line,token,value,match", [
+        (2, 0, "2.0", "orthonormal"), (1, 0, "0.0", "focal"), (1, 1, "-1.0", "focal")])
+    def test_invalid_model_is_parse_error(self, tmp_path, line, token, value, match):
+        p = tmp_path / "cal.txt"
+        dataio.write_calibration(p, synthetic.default_projection_model())
+        lines = p.read_text().splitlines()
+        tokens = lines[line].split()
+        tokens[token] = value
+        lines[line] = " ".join(tokens)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"cal.txt: .*{match}"):
             dataio.read_calibration(p)
 
 
@@ -144,6 +169,19 @@ class TestManifest:
         dataio.write_manifest(p, self.rows(1))
         p.write_text(p.read_text() + "s9,notafloat,0,0,0,a,b,t0\n")
         with pytest.raises(ParseError, match=":3"):
+            dataio.parse_manifest(p)
+
+    @pytest.mark.parametrize("field,value", [(1, "nan"), (1, "inf"), (2, "-inf"),
+                                             (4, "nan")])
+    def test_non_finite_rejected_with_line(self, tmp_path, field, value):
+        p = tmp_path / "m.csv"
+        dataio.write_manifest(p, self.rows(2))
+        lines = p.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[field] = value
+        lines[2] = ",".join(fields)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="m.csv:3: .*finite"):
             dataio.parse_manifest(p)
 
 
@@ -286,6 +324,16 @@ class TestCheckpointFile:
         raw = p.read_bytes()
         p.write_bytes(raw + raw[6:])  # the same record twice
         with pytest.raises(DuplicateId, match="'a'"):
+            dataio.read_checkpoint(p)
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        p = tmp_path / "c.vxpc"
+        w = np.ones((2, 3))
+        w[1, 2] = value
+        dataio.write_checkpoint(p, {"a": Tensor(np.ones(3)), "b.w": Tensor(w)})
+        with pytest.raises(NonFinite, match="'b.w'"):
             dataio.read_checkpoint(p)
 
 

@@ -109,6 +109,23 @@ class TestGemPool:
         assert ad.check_gradient(f_feats, Tensor(feats)) < 1e-4
         assert ad.check_gradient(f_p, Tensor(3.0)) < 1e-4
 
+    @pytest.mark.parametrize("segments", [False, True])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 8.0])
+    def test_float32_zero_channel_keeps_finite_gradients(self, p, segments):
+        # an all-zero channel's mean power (GEM_EPS^p) underflows float32 above p 3.7
+        with ad.precision(np.float32):
+            x = Tensor(np.c_[np.zeros(6), np.linspace(0.5, 1.0, 6)], requires_grad=True)
+            exponent = Tensor(p, requires_grad=True)
+            with ad.Tape() as tape:
+                if segments:
+                    pooled = heads.gem_pool_segments(x, np.zeros(6, dtype=np.intp), 1,
+                                                     exponent)
+                else:
+                    pooled = heads.gem_pool(x, exponent)
+                tape.backward(ad.tsum(pooled))
+        assert np.isfinite(pooled.values).all()
+        assert np.isfinite(x.grad).all() and np.isfinite(exponent.grad).all()
+
     def test_segments_match_loop(self, rng):
         feats = rng.uniform(0.1, 1.0, size=(10, 4))
         seg = np.array([0] * 4 + [1] * 6)

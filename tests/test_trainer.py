@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from vxp import heads, losses, sparse3d, trainer
+from vxp import autodiff as ad
+from vxp import dataio, heads, losses, sparse3d, trainer
 from vxp.autodiff import Tape, Tensor
 from vxp.errors import DegenerateDataset
 from vxp.geometry import VoxelGridConfig
@@ -46,6 +47,15 @@ class TestAdam:
         state = trainer.AdamState(p)
         trainer.adam_step(p, state, lr=0.1)
         assert p["x"].values[0] == 1.5
+
+    def test_float32_parameters_stay_float32(self):
+        with ad.precision(np.float32):
+            p = {"x": Tensor([1.0, -2.0], requires_grad=True)}
+        p["x"].grad = np.array([0.5, 0.25], dtype=np.float32)
+        state = trainer.AdamState(p)
+        trainer.adam_step(p, state, lr=0.1)
+        assert p["x"].values.dtype == np.float32
+        assert {m.dtype for m in state.moments["x"]} == {np.dtype(np.float32)}
 
     def test_descent_on_quadratic(self):
         import vxp.autodiff as ad
@@ -213,6 +223,60 @@ class TestStageGlobal:
         a = trainer.train_stage_global(tiny_dataset, stage1.params, stage2.params, cfg)
         b = trainer.train_stage_global(tiny_dataset, stage1.params, stage2.params, cfg)
         assert trainer.params_digest(a.params) == trainer.params_digest(b.params)
+
+
+@pytest.fixture(scope="module")
+def stage3(tiny_dataset, stage1, stage2):
+    return trainer.train_stage_global(tiny_dataset, stage1.params, stage2.params,
+                                      small_cfg("global", epochs=1))
+
+
+class TestFloat32Training:
+    """Stages compute in float32 behind float64 stage results."""
+
+    def test_stage_results_are_float64(self, stage1, stage2, stage3):
+        for result in (stage1, stage2, stage3):
+            assert {t.values.dtype for t in result.params.values()} == {np.dtype(np.float64)}
+
+    def test_frozen_image_branch_returned_bit_identical(self, tiny_dataset):
+        cfg = small_cfg("local", epochs=1)
+        image = trainer.init_image_params(cfg, np.random.default_rng(3))
+        # float64 values that float32 cannot hold, so rounding would show
+        assert any(not np.array_equal(t.values.astype(np.float32), t.values)
+                   for t in image.values())
+        out = trainer.train_stage_local(tiny_dataset, image, cfg)
+        for name, tensor in image.items():
+            assert out.params[name].values.tobytes() == tensor.values.tobytes()
+            assert out.params[name] is not tensor
+        assert (trainer.params_digest(out.params, "image.")
+                == trainer.params_digest(image, "image."))
+
+    def test_vxpc_round_trip_of_stage3_is_bit_exact(self, tmp_path, stage3):
+        path = tmp_path / "stage3.vxpc"
+        dataio.write_checkpoint(path, stage3.params)
+        back = dataio.read_checkpoint(path)
+        assert back.keys() == stage3.params.keys()
+        for name, tensor in stage3.params.items():
+            assert back[name].values.tobytes() == tensor.values.tobytes()
+
+    def test_every_primitive_stays_float32(self, tiny_dataset, stage1, monkeypatch):
+        seen = []
+        finish = ad._finish
+
+        def recording(out_values, inputs, grad_fn):
+            def checked(g):
+                grads = grad_fn(g)
+                seen.extend((grad_fn, np.asarray(x).dtype) for x in grads if x is not None)
+                return grads
+            seen.append((grad_fn, np.asarray(out_values).dtype))
+            return finish(out_values, inputs, checked)
+
+        monkeypatch.setattr(ad, "_finish", recording)
+        trainer.train_stage_image(tiny_dataset, small_cfg("image", epochs=1))
+        trainer.train_stage_local(tiny_dataset, stage1.params, small_cfg("local", epochs=1))
+        assert seen
+        promoted = {f.__qualname__ for f, dtype in seen if dtype != np.float32}
+        assert not promoted
 
 
 def test_loss_history_csv(tmp_path):
