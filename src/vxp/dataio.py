@@ -16,9 +16,9 @@ reads.
 from __future__ import annotations
 
 import csv
-import math
 import struct
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -225,13 +225,13 @@ def parse_manifest(path) -> list[SampleManifestRow]:
         seen.add(sample_id)
         try:
             ts = float(rec[1])
-            pos = (float(rec[2]), float(rec[3]), float(rec[4]))
+            x, y, z = float(rec[2]), float(rec[3]), float(rec[4])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad float") from exc
-        if not all(map(math.isfinite, (ts, *pos))):
+        if not (isfinite(ts) and isfinite(x) and isfinite(y) and isfinite(z)):
             raise ParseError(f"{path}:{lineno}: timestamp and position must be finite")
         rows.append(SampleManifestRow(
-            sample_id=sample_id, timestamp_s=ts, position=pos,
+            sample_id=sample_id, timestamp_s=ts, position=(x, y, z),
             cloud_path=rec[5], image_path=rec[6], run_id=rec[7]))
     return rows
 
