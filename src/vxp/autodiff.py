@@ -328,6 +328,13 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 _TAPS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
 
 
+def _tap_range(d: int, n_out: int) -> tuple[slice, slice]:
+    """(output, input) ranges of one axis for tap offset d: output o reads
+    input 2*o + d, which lies outside the image only for o = 0 and d = -1."""
+    first = 1 if d < 0 else 0
+    return slice(first, n_out), slice(2 * first + d, 2 * n_out + d - 1, 2)
+
+
 def patches_3x3_s2(a: Tensor, batch: int, height: int, width: int) -> Tensor:
     """3x3 stride-2 patches of a batch of images -> (batch*oh*ow, 9*c).
 
@@ -335,31 +342,29 @@ def patches_3x3_s2(a: Tensor, batch: int, height: int, width: int) -> Tensor:
     pixel (oy, ox) takes input cells (2*oy + dy, 2*ox + dx), dy, dx in
     {-1, 0, 1}, in row-major tap order; cells above or left of the image read
     zero. oh, ow = height//2, width//2, so for odd extents the trailing row
-    or column is cropped. Each tap is one strided slice of a buffer padded by
-    one zero row and column on the low side.
+    or column is cropped. Each tap is one strided slice of the input.
     """
     c = a.shape[1]
     if a.values.ndim != 2 or a.shape[0] != batch * height * width:
         raise ShapeMismatch(f"patches_3x3_s2: {a.shape} for {batch}x{height}x{width}")
     oh, ow = height // 2, width // 2
-    buf = np.zeros((batch, height + 1, width + 1, c), dtype=a.values.dtype)
-    buf[:, 1:, 1:] = a.values.reshape(batch, height, width, c)
-    # buffer row 1 + 2*oy + dy for oy < oh, as one slice per tap
-    views = [(slice(1 + dy, 1 + dy + 2 * oh, 2), slice(1 + dx, 1 + dx + 2 * ow, 2))
-             for dy, dx in _TAPS]
-    out = np.empty((batch, oh, ow, 9, c), dtype=a.values.dtype)
-    for t, (rows, cols) in enumerate(views):
-        out[:, :, :, t] = buf[:, rows, cols]
+    x = a.values.reshape(batch, height, width, c)
+    taps = [(_tap_range(dy, oh), _tap_range(dx, ow)) for dy, dx in _TAPS]
+    out = np.empty((batch, oh, ow, 9, c), dtype=x.dtype)
+    out[:, :1, :, :3] = 0.0  # dy = -1 above the image
+    out[:, :, :1, ::3] = 0.0  # dx = -1 left of the image
+    for t, ((oy, iy), (ox, ix)) in enumerate(taps):
+        out[:, oy, ox, t] = x[:, iy, ix]
 
     def grad_fn(g):
         g = g.reshape(batch, oh, ow, 9, c)
-        gbuf = np.zeros_like(buf)
+        gx = np.zeros_like(x)
         # reverse tap order: each cell sums its contributions in the order of
         # output rows (pixel-major, then tap), as a row scatter-add does
         for t in reversed(range(9)):
-            rows, cols = views[t]
-            gbuf[:, rows, cols] += g[:, :, :, t]
-        return (gbuf[:, 1:, 1:].reshape(batch * height * width, c),)
+            (oy, iy), (ox, ix) = taps[t]
+            gx[:, iy, ix] += g[:, oy, ox, t]
+        return (gx.reshape(batch * height * width, c),)
 
     return _finish(out.reshape(batch * oh * ow, 9 * c), (a,), grad_fn)
 
