@@ -58,7 +58,6 @@ class TestAdam:
         assert {m.dtype for m in state.moments["x"]} == {np.dtype(np.float32)}
 
     def test_descent_on_quadratic(self):
-        import vxp.autodiff as ad
         p = {"x": Tensor(np.array([1.0]), requires_grad=True)}
         state = trainer.AdamState(p)
         values = []
