@@ -406,18 +406,37 @@ def segment_max(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     segment_ids must be sorted ascending and cover 0..num_segments-1 with at
     least one row each. Gradient flows to the first (lowest-index) maximal
     row per segment and column.
+
+    Segments are ordered longest first, so slot s (row s of every segment
+    longer than s) is a prefix of that order and one vectorised step: a pool
+    takes as many steps as its longest segment has rows, and each segment
+    still folds its rows in index order, as np.maximum.reduceat would.
     """
     seg = np.asarray(segment_ids, dtype=np.intp)
     av = a.values
     starts = np.searchsorted(seg, np.arange(num_segments))
-    out = np.maximum.reduceat(av, starts, axis=0)
+    lengths = np.diff(starts, append=av.shape[0])
+    by_len = np.argsort(-lengths, kind="stable")
+    first = starts[by_len]
+    # longer[s] = number of segments with more than s rows
+    longer = np.searchsorted(-lengths[by_len], -np.arange(lengths.max()))
+    acc = av[first]
+    for s, k in enumerate(longer[1:], start=1):
+        np.maximum(acc[:k], av[first[:k] + s], out=acc[:k])
+    out = np.empty_like(acc)
+    out[by_len] = acc
 
     def grad_fn(g):
-        eq = av == out[seg]
-        rows = np.where(eq, np.arange(av.shape[0])[:, None], av.shape[0])
-        winner = np.minimum.reduceat(rows, starts, axis=0)
-        buf = np.zeros_like(av)
-        buf[winner, np.arange(av.shape[1])] = g  # each (winner, column) is unique
+        # walking the slots upward, a column's gradient goes to the first
+        # maximal row not yet claimed; every row is written exactly once
+        g = g[by_len]
+        buf = np.empty_like(av)
+        unclaimed = np.ones(acc.shape, dtype=bool)
+        for s, k in enumerate(longer):
+            rows = first[:k] + s
+            hit = (av[rows] == acc[:k]) & unclaimed[:k]
+            unclaimed[:k] &= ~hit
+            buf[rows] = np.where(hit, g[:k], 0.0)
         return (buf,)
 
     return _finish(out, (a,), grad_fn)

@@ -69,7 +69,10 @@ class TrainingSet:
 # --- point clouds ---
 
 def load_point_cloud_bin(path) -> PointCloud:
-    """Read float32 (x, y, z, intensity) records; intensity is dropped."""
+    """Read float32 (x, y, z, intensity) records; intensity is dropped.
+
+    A non-finite coordinate raises NonFinite naming its record.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -77,8 +80,12 @@ def load_point_cloud_bin(path) -> PointCloud:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if len(raw) % 16 != 0:
         raise MalformedFile(f"{path}: size {len(raw)} not divisible by 16")
-    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    return PointCloud(data[:, :3].astype(np.float64), sample_id=path.stem)
+    points = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)[:, :3].astype(np.float64)
+    finite = np.isfinite(points)
+    if not finite.all():
+        record = int(np.argmin(finite.all(axis=1)))
+        raise NonFinite(f"{path}: record {record} has a non-finite coordinate")
+    return PointCloud(points, sample_id=path.stem)
 
 
 def write_point_cloud_bin(path, points: np.ndarray,
@@ -93,6 +100,10 @@ def write_point_cloud_bin(path, points: np.ndarray,
 # --- raw image grids ---
 
 def load_image_raw(path) -> np.ndarray:
+    """Read a (width u32, height u32) header then float32 pixels, row-major.
+
+    A non-finite pixel raises NonFinite naming its row and column.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -105,6 +116,10 @@ def load_image_raw(path) -> np.ndarray:
     if len(raw) != expected:
         raise MalformedFile(f"{path}: expected {expected} bytes, got {len(raw)}")
     values = np.frombuffer(raw, dtype="<f4", offset=8).reshape(height, width)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), width)
+        raise NonFinite(f"{path}: pixel (row {row}, column {col}) is not finite")
     return values.astype(np.float64)
 
 

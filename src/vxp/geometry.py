@@ -70,10 +70,15 @@ class PointCloud:
 
 @dataclass
 class VoxelGrid:
-    """Non-empty voxels: zero-padded point blocks plus integer grid coords."""
+    """Non-empty voxels: their kept points, sorted by voxel, plus grid coords.
 
-    points: np.ndarray        # (T, M, 3) float64, rows beyond valid_counts are zero
-    valid_counts: np.ndarray  # (T,) int64, 1 <= count <= M
+    Voxel v owns rows starts[v] : starts[v] + valid_counts[v] of points, with
+    starts the exclusive cumulative sum of valid_counts, in input order (for
+    an overfull voxel, the order of its drawn subset).
+    """
+
+    points: np.ndarray        # (N_kept, 3) float64, voxel-sorted
+    valid_counts: np.ndarray  # (T,) int64, 1 <= count <= M, summing to N_kept
     coords: np.ndarray        # (T, 3) int64, unique, within grid dims
     config: VoxelGridConfig
 
@@ -86,8 +91,8 @@ def voxelize(cloud: PointCloud, config: VoxelGridConfig, seed: int) -> VoxelGrid
     """Assign in-range points to voxels; subsample overfull voxels.
 
     Points inside the half-open box [range_min, range_max) go to the voxel
-    floor((p - min) / size); everything else is discarded. Deterministic
-    given (cloud, config, seed).
+    floor((p - min) / size); everything else is discarded. Voxels are in
+    ascending flat-index order. Deterministic given (cloud, config, seed).
     """
     pts = cloud.points
     if pts.shape[0] == 0:
@@ -112,28 +117,23 @@ def voxelize(cloud: PointCloud, config: VoxelGridConfig, seed: int) -> VoxelGrid
     flat = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
     order = np.argsort(flat, kind="stable")
     flat_sorted = flat[order]
-    uniq, starts, counts = np.unique(flat_sorted, return_index=True, return_counts=True)
+    # voxel runs of the sorted keys
+    starts = np.flatnonzero(np.r_[True, flat_sorted[1:] != flat_sorted[:-1]])
+    counts = np.diff(np.r_[starts, flat_sorted.shape[0]])
+    uniq = flat_sorted[starts]
 
     m = config.max_points_per_voxel
     rng = np.random.default_rng(seed)
-    t = uniq.shape[0]
-    blocks = np.zeros((t, m, 3))
-    valid = np.minimum(counts, m).astype(np.int64)
-    # voxels with at most m points keep all of them, in sorted order
-    seg = np.repeat(np.arange(t), counts)
-    slot = np.arange(seg.shape[0]) - starts[seg]
-    fits = counts[seg] <= m
-    blocks[seg[fits], slot[fits]] = pts[order[fits]]
+    taken = np.ones(order.shape[0], dtype=bool)
     # overfull voxels draw a subset, in ascending voxel order
     for v in np.flatnonzero(counts > m):
         pick = np.sort(rng.choice(counts[v], size=m, replace=False))
-        blocks[v] = pts[order[starts[v] + pick]]
+        taken[starts[v]:starts[v] + counts[v]] = False
+        taken[starts[v] + pick] = True
 
-    cz = uniq % dims[2]
-    cy = (uniq // dims[2]) % dims[1]
-    cx = uniq // (dims[1] * dims[2])
-    coords = np.stack([cx, cy, cz], axis=1).astype(np.int64)
-    return VoxelGrid(points=blocks, valid_counts=valid, coords=coords, config=config)
+    coords = np.stack(np.unravel_index(uniq, config.grid_dims), axis=1).astype(np.int64)
+    return VoxelGrid(points=pts[order[taken]], valid_counts=np.minimum(counts, m),
+                     coords=coords, config=config)
 
 
 def voxel_center_to_lidar(coords: np.ndarray, voxel_size, range_min) -> np.ndarray:

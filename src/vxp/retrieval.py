@@ -395,7 +395,7 @@ def write_results_csv(path, rows: list[tuple[str, str, float]]) -> None:
     """`protocol,k,recall` rows."""
     lines = ["protocol,k,recall"]
     for protocol_name, k, recall in rows:
-        lines.append(f"{protocol_name},{k},{recall!r}")
+        lines.append(f"{protocol_name},{k},{float(recall)!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -404,6 +404,6 @@ def write_curve_csv(path, curve: list[tuple[int, float]]) -> None:
     """`k,recall` rows for the recall@K curve."""
     lines = ["k,recall"]
     for k, recall in curve:
-        lines.append(f"{k},{recall!r}")
+        lines.append(f"{k},{float(recall)!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

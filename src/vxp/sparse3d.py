@@ -1,9 +1,10 @@
 """Voxel feature encoding and sparse 3D convolution.
 
-The encoder turns a VoxelGrid into per-voxel descriptors (per-point linear +
-ReLU, max-pooled over the voxel's valid points). A stack of standard
-(non-submanifold) sparse convolutions then coarsens the grid; with the
-default two stride-2 layers the 110^3 input grid becomes 55^3 then 28^3.
+The encoder turns a VoxelGrid into per-voxel descriptors: a per-point
+linear + ReLU over its flat voxel-sorted points, max-pooled over each
+voxel's run of rows. A stack of standard (non-submanifold) sparse
+convolutions then coarsens the grid; with the default two stride-2 layers
+the 110^3 input grid becomes 55^3 then 28^3.
 
 Sparse convolution semantics match a dense convolution with zero padding
 (k-1)//2 and output dims ceil(in/stride), restricted to output sites whose
@@ -79,22 +80,17 @@ def init_vfe_params(dim: int, rng: np.random.Generator) -> VFEParams:
 
 
 def vfe_encode(grid: VoxelGrid, params: VFEParams) -> SparseFeatureMap:
-    """Encode each voxel's valid points into one descriptor.
+    """Encode each voxel's kept points into one descriptor.
 
-    Padded rows never enter the computation, so padding is irrelevant to the
-    output by construction.
+    The voxel-sorted points go through the linear layer as one matrix, and
+    each voxel's run of rows is max-pooled.
     """
     t = grid.num_voxels
     if t == 0:
         raise EmptyGrid("voxel grid has no voxels")
 
-    counts = grid.valid_counts
-    seg_ids = np.repeat(np.arange(t), counts)
-    starts = np.cumsum(counts) - counts
-    row_idx = np.arange(seg_ids.shape[0]) - starts[seg_ids] + seg_ids * grid.points.shape[1]
-    flat_points = Tensor(grid.points.reshape(-1, 3)[row_idx])
-
-    h = ad.relu(ad.add_rowvec(ad.matmul(flat_points, params.w1), params.b1))
+    seg_ids = np.repeat(np.arange(t), grid.valid_counts)
+    h = ad.relu(ad.add_rowvec(ad.matmul(Tensor(grid.points), params.w1), params.b1))
     pooled = ad.segment_max(h, seg_ids, t)
 
     cfg = grid.config
@@ -220,13 +216,6 @@ def apply_sparse_conv(feature_map: SparseFeatureMap, layer: SparseConvLayer,
 def _strided_voxel_size(voxel_size, stride: int) -> tuple[float, float, float]:
     """Voxel size of a conv's output sites: the input size times the stride."""
     return tuple(float(s) * stride for s in voxel_size)
-
-
-def sparse_conv3d(feature_map: SparseFeatureMap, layer: SparseConvLayer) -> SparseFeatureMap:
-    """Standard sparse 3D convolution over the active set (plans internally)."""
-    plan = plan_sparse_conv(feature_map.coords, feature_map.grid_dims,
-                            layer.kernel_size, layer.stride)
-    return apply_sparse_conv(feature_map, layer, plan)
 
 
 def sparse_to_dense(feature_map: SparseFeatureMap) -> np.ndarray:

@@ -1,13 +1,18 @@
 """Independent reference implementations used only to verify the library.
 
 Everything here is written from first principles with scalar math or plain
-dense numpy, deliberately sharing no code with the package under test.
+dense numpy, deliberately sharing no code with the package under test. The
+one exception is sparse_conv3d, the plan-then-apply composition that tests
+use as a one-call sparse convolution; it is checked against dense_conv3d.
 """
 
 import math
 import struct
 
 import numpy as np
+
+from vxp import autodiff as ad
+from vxp import sparse3d
 
 
 def scalar_pinhole(coord, eff_size, range_min, extrinsic, fx_n, fy_n, cx_n, cy_n,
@@ -225,3 +230,32 @@ def patches_by_gather(values, batch, height, width):
         return summed.reshape(n + 1, c)[:n]
 
     return patches, backward
+
+
+def sparse_conv3d(feature_map, layer):
+    """Standard sparse 3D convolution over the active set: plan, then apply."""
+    plan = sparse3d.plan_sparse_conv(feature_map.coords, feature_map.grid_dims,
+                                     layer.kernel_size, layer.stride)
+    return sparse3d.apply_sparse_conv(feature_map, layer, plan)
+
+
+def segment_max_reduceat(a, segment_ids, num_segments):
+    """Per-segment column-wise max by np.maximum.reduceat, as an autodiff op.
+
+    The gradient goes to the lowest-index maximal row per segment and
+    column, found by a np.minimum.reduceat over an (n, d) row-index array.
+    """
+    seg = np.asarray(segment_ids, dtype=np.intp)
+    av = a.values
+    starts = np.searchsorted(seg, np.arange(num_segments))
+    out = np.maximum.reduceat(av, starts, axis=0)
+
+    def grad_fn(g):
+        eq = av == out[seg]
+        rows = np.where(eq, np.arange(av.shape[0])[:, None], av.shape[0])
+        winner = np.minimum.reduceat(rows, starts, axis=0)
+        buf = np.zeros_like(av)
+        buf[winner, np.arange(av.shape[1])] = g
+        return (buf,)
+
+    return ad._finish(out, (a,), grad_fn)

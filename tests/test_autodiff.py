@@ -283,3 +283,37 @@ def test_float32_gather_and_scale_stay_float32(repeats):
         assert entry.output.values.dtype == np.float32
         (grad,) = entry.grad_fn(np.ones_like(entry.output.values))
         assert grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("values", ["integer", "normal"])
+def test_segment_max_matches_reduceat_oracle(dtype, values):
+    # random layouts with segment lengths 1..32, every other one dominated by
+    # the one-to-three-row segments of a voxel grid; integer values (with
+    # signed zeros) make ties common, so the lowest-index winner rule and the
+    # fold order are both compared bit for bit
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        t = int(rng.integers(1, 80))
+        if seed % 2:
+            lengths = rng.integers(1, 33, size=t)
+        else:
+            lengths = np.where(rng.random(t) < 0.9, rng.integers(1, 4, size=t),
+                               rng.integers(1, 33, size=t))
+        seg = np.repeat(np.arange(t), lengths)
+        if values == "integer":
+            x = rng.integers(-2, 3, size=(seg.size, 6)).astype(np.float64)
+            x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+        else:
+            x = rng.normal(size=(seg.size, 6))
+        g = rng.normal(size=(t, 6))
+        results = []
+        with ad.precision(dtype):
+            for op in (ad.segment_max, oracles.segment_max_reduceat):
+                probe = ad.Tensor(x, requires_grad=True)
+                with ad.Tape() as tape:
+                    out = op(probe, seg, t)
+                    tape.backward(ad.tsum(ad.cmul(out, g)))
+                assert out.values.dtype == probe.grad.dtype == dtype
+                results.append((out.values.tobytes(), probe.grad.tobytes()))
+        assert results[0] == results[1]

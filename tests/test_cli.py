@@ -188,3 +188,19 @@ def test_plot_emits_svg(tiny_pipeline, tmp_path):
     text = svg.read_text()
     assert text.startswith("<svg")
     assert "polyline" in text
+
+
+def test_eval_curve_feeds_plot(tiny_pipeline, tmp_path):
+    # the README walkthrough: eval writes the curve CSV that plot reads
+    out = tmp_path / "results.csv"
+    assert run(["eval", "--query", tiny_pipeline["v2d"], "--db", tiny_pipeline["v3d"],
+                "--query-manifest", tiny_pipeline["manifest"],
+                "--db-manifest", tiny_pipeline["manifest"],
+                "--protocol", "plain", "--recall", "1,curve25",
+                "--radius", "25", "--out", str(out)]) == 0
+    for path in (out, Path(str(out) + ".curve.csv")):
+        for line in path.read_text().splitlines()[1:]:
+            float(line.rsplit(",", 1)[1])  # a plain number, not a numpy repr
+    svg = tmp_path / "results.svg"
+    assert run(["plot", "--in", str(out) + ".curve.csv", "--out", str(svg)]) == 0
+    assert "polyline" in svg.read_text()

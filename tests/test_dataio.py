@@ -35,6 +35,16 @@ class TestPointCloudBin:
         assert np.array_equal(back.points, pts)
 
 
+    def test_non_finite_coordinate_names_record(self, tmp_path):
+        data = np.zeros((3, 4), dtype="<f4")
+        data[1, 3] = np.nan  # intensity is dropped, so it may be anything
+        data[2, 1] = np.inf
+        p = tmp_path / "nan.bin"
+        p.write_bytes(data.tobytes())
+        with pytest.raises(NonFinite, match=r"nan\.bin: record 2 "):
+            dataio.load_point_cloud_bin(p)
+
+
 class TestImageRaw:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -48,6 +58,15 @@ class TestImageRaw:
         import struct
         p.write_bytes(struct.pack("<II", 4, 4) + b"\x00" * 10)
         with pytest.raises(MalformedFile):
+            dataio.load_image_raw(p)
+
+    def test_non_finite_pixel_named(self, tmp_path):
+        img = np.zeros((3, 5))
+        img[2, 4] = np.nan
+        img[1, 3] = -np.inf
+        p = tmp_path / "nan.img"
+        dataio.write_image_raw(p, img)
+        with pytest.raises(NonFinite, match=r"nan\.img: pixel \(row 1, column 3\)"):
             dataio.load_image_raw(p)
 
 

@@ -44,14 +44,7 @@ class TestVoxelize:
         grid = geo.voxelize(cloud, cfg, seed=0)
         assert grid.num_voxels == 1
         assert grid.valid_counts[0] == 2
-        assert grid.points.shape == (1, 2, 3)
-
-    def test_underfull_voxel_rows_zero_padded(self):
-        cfg = geo.VoxelGridConfig((0, 0, 0), (1, 1, 1), (1, 1, 1), max_points_per_voxel=4)
-        cloud = geo.PointCloud(np.array([[0.5, 0.5, 0.5], [0.25, 0.25, 0.25]]))
-        grid = geo.voxelize(cloud, cfg, seed=0)
-        assert grid.valid_counts[0] == 2
-        assert np.array_equal(grid.points[0, 2:], np.zeros((2, 3)))
+        assert grid.points.shape == (2, 3)
 
     def test_empty_cloud_and_all_culled(self):
         cfg = geo.default_grid_config()
@@ -78,9 +71,10 @@ class TestVoxelize:
                 kept += 1
         assert grid.valid_counts.sum() == kept
         assert grid.num_voxels == len(expected)
+        starts = np.cumsum(grid.valid_counts) - grid.valid_counts
         for v in range(grid.num_voxels):
             c = tuple(grid.coords[v])
-            got = grid.points[v, :grid.valid_counts[v]]
+            got = grid.points[starts[v]:starts[v] + grid.valid_counts[v]]
             want = np.asarray(expected[c])
             assert sorted(map(tuple, got)) == sorted(map(tuple, want))
 
@@ -98,7 +92,9 @@ class TestVoxelize:
                 pts, cfg.range_min, cfg.range_max, cfg.voxel_size, cfg.grid_dims, m, seed)
             inside = np.all((pts >= cfg.range_min) & (pts < cfg.range_max), axis=1)
             assert counts.sum() < inside.sum()  # some voxel was subsampled
-            assert np.array_equal(grid.points, blocks)
+            # the oracle's valid rows, voxel after voxel, in order
+            kept = np.concatenate([blocks[v, :c] for v, c in enumerate(counts)])
+            assert np.array_equal(grid.points, kept)
             assert np.array_equal(grid.valid_counts, counts)
             assert np.array_equal(grid.coords, coords)
 

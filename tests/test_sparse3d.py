@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import dense_conv3d, occupied_pair_count, receptive_field_mask
+from oracles import (dense_conv3d, occupied_pair_count, receptive_field_mask,
+                     sparse_conv3d, voxelize_per_voxel)
 from vxp import autodiff as ad
 from vxp import sparse3d as s3
 from vxp.autodiff import Tensor
@@ -33,7 +34,7 @@ class TestVfe:
         rng = np.random.default_rng(0)
         params = s3.init_vfe_params(5, rng)
         out = s3.vfe_encode(grid, params)
-        expected = np.maximum(grid.points[0, 0] @ params.w1.values + params.b1.values, 0.0)
+        expected = np.maximum(grid.points[0] @ params.w1.values + params.b1.values, 0.0)
         assert np.allclose(out.feats.values[0], expected)
 
     def test_permutation_invariance(self):
@@ -55,21 +56,27 @@ class TestVfe:
         out = s3.vfe_encode(grid, params)
         assert np.allclose(out.feats.values, [[1.0, 2.0]])
 
-    def test_zero_pad_invariance(self):
-        pts = [[0.5, 0.5, 0.5], [0.2, 0.8, 0.4]]
-        grid = small_grid(pts, hi=(1, 1, 1), size=(1, 1, 1), m=4)
-        params = s3.init_vfe_params(4, np.random.default_rng(2))
-        base = s3.vfe_encode(grid, params).feats.values
-        # widen the padding without touching valid rows
-        wider = np.zeros((grid.points.shape[0], 9, 3))
-        wider[:, :4] = grid.points
-        grid2 = VoxelGrid(points=wider, valid_counts=grid.valid_counts,
-                          coords=grid.coords, config=grid.config)
-        assert np.array_equal(s3.vfe_encode(grid2, params).feats.values, base)
+    @pytest.mark.parametrize("m", [1, 4, 32])
+    def test_matches_per_voxel_max_over_oracle_rows(self, m):
+        # each voxel's feature is the max of relu(linear) over the oracle's
+        # valid rows of that voxel, overfull voxels included
+        cfg = VoxelGridConfig((0, -2, -2), (4, 2, 2), (0.5, 0.5, 0.5), m)
+        rng = np.random.default_rng(m)
+        centers = rng.uniform(-0.5, 4.5, size=(6, 3)) - (0, 2, 2)
+        pts = np.concatenate([c + rng.normal(0, 0.15, size=(200, 3)) for c in centers])
+        params = s3.init_vfe_params(8, rng)
+        got = s3.vfe_encode(voxelize(PointCloud(pts), cfg, seed=m), params).feats.values
+        blocks, counts, _ = voxelize_per_voxel(
+            pts, cfg.range_min, cfg.range_max, cfg.voxel_size, cfg.grid_dims, m, m)
+        rows = np.concatenate([blocks[v, :c] for v, c in enumerate(counts)])
+        h = np.maximum(rows @ params.w1.values + params.b1.values, 0.0)
+        ends = np.cumsum(counts)
+        want = np.stack([h[e - c:e].max(axis=0) for e, c in zip(ends, counts)])
+        assert np.array_equal(got, want)
 
     def test_empty_grid_rejected(self):
         cfg = VoxelGridConfig((0, 0, 0), (1, 1, 1), (1, 1, 1), 2)
-        grid = VoxelGrid(points=np.zeros((0, 2, 3)), valid_counts=np.zeros(0, dtype=int),
+        grid = VoxelGrid(points=np.zeros((0, 3)), valid_counts=np.zeros(0, dtype=int),
                          coords=np.zeros((0, 3), dtype=np.int64), config=cfg)
         with pytest.raises(EmptyGrid):
             s3.vfe_encode(grid, s3.init_vfe_params(4, np.random.default_rng(0)))
@@ -83,7 +90,7 @@ class TestSparseConv:
         kernel[:3, :3] = np.eye(3)
         layer = s3.SparseConvLayer(kernel=Tensor(kernel), bias=Tensor(np.zeros(3)),
                                    kernel_size=1, stride=1)
-        out = s3.sparse_conv3d(fmap, layer)
+        out = sparse_conv3d(fmap, layer)
         assert np.array_equal(out.coords, fmap.coords)
         assert np.allclose(out.feats.values, fmap.feats.values)
 
@@ -92,7 +99,7 @@ class TestSparseConv:
         fmap = random_map(rng, (4, 4, 4), 6, 3)
         layer = s3.init_conv_layer(5, 4, 3, 1, rng)
         with pytest.raises(ChannelMismatch):
-            s3.sparse_conv3d(fmap, layer)
+            sparse_conv3d(fmap, layer)
 
     def test_grid_dims_reduce_110_55_28(self):
         rng = np.random.default_rng(6)
@@ -103,9 +110,9 @@ class TestSparseConv:
         params = s3.init_backbone_params(rng, vfe_dim=4, feature_dim=4)
         fmap = s3.vfe_encode(grid, params.vfe)
         assert fmap.grid_dims == (110, 110, 110)
-        fmap = s3.sparse_conv3d(fmap, params.layers[0])
+        fmap = sparse_conv3d(fmap, params.layers[0])
         assert fmap.grid_dims == (55, 55, 55)
-        fmap = s3.sparse_conv3d(fmap, params.layers[1])
+        fmap = sparse_conv3d(fmap, params.layers[1])
         assert fmap.grid_dims == (28, 28, 28)
         assert np.all(fmap.coords >= 0) and np.all(fmap.coords < 28)
         assert fmap.effective_voxel_size == (1.6, 1.6, 0.8)
@@ -119,7 +126,7 @@ class TestSparseConv:
             fmap = random_map(rng, dims, int(rng.integers(1, 20)), 3)
             layer = s3.init_conv_layer(3, 4, 3, stride, rng)
             layer.bias.values[:] = rng.normal(size=4)
-            out = s3.sparse_conv3d(fmap, layer)
+            out = sparse_conv3d(fmap, layer)
 
             dense = s3.sparse_to_dense(fmap)
             expect = dense_conv3d(dense, layer.kernel.values, 3, stride)
@@ -140,7 +147,7 @@ class TestSparseConv:
         rng = np.random.default_rng(7)
         fmap = random_map(rng, (9, 7, 5), 30, 2)
         layer = s3.init_conv_layer(2, 2, 3, 2, rng)
-        out = s3.sparse_conv3d(fmap, layer)
+        out = sparse_conv3d(fmap, layer)
         assert np.unique(out.coords, axis=0).shape == out.coords.shape
         assert out.grid_dims == (5, 4, 3)
         assert np.all(out.coords < np.array(out.grid_dims))
@@ -178,8 +185,8 @@ class TestSparseConv:
                                     effective_voxel_size=small.effective_voxel_size,
                                     range_min=small.range_min)
         layer = s3.init_conv_layer(3, 4, 3, stride, rng)
-        a = s3.sparse_conv3d(small, layer)
-        b = s3.sparse_conv3d(large, layer)
+        a = sparse_conv3d(small, layer)
+        b = sparse_conv3d(large, layer)
         assert np.array_equal(b.coords, a.coords + shift // stride)
         assert np.array_equal(b.feats.values, a.feats.values)
 
@@ -191,7 +198,7 @@ class TestSparseConv:
         def f(k):
             probe = s3.SparseConvLayer(kernel=k, bias=layer.bias,
                                        kernel_size=3, stride=2)
-            return ad.l2norm(s3.sparse_conv3d(fmap, probe).feats)
+            return ad.l2norm(sparse_conv3d(fmap, probe).feats)
 
         assert ad.check_gradient(f, layer.kernel) < 1e-4
 
