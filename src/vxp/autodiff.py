@@ -35,11 +35,6 @@ _CHECK_FINITE = False
 _DTYPE: type = np.float64
 
 
-def set_debug_checks(enabled: bool) -> None:
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
-
-
 @contextlib.contextmanager
 def precision(dtype) -> Iterator[None]:
     """Make dtype the compute dtype inside the block; the previous one is
@@ -169,10 +164,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _finish(-a.values, (a,), lambda g: (-g,))
-
-
 def smul(a: Tensor, s: float) -> Tensor:
     s = float(s)
     return _finish(a.values * s, (a,), lambda g: (g * s,))
@@ -279,14 +270,6 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _finish(a.values.sum(axis=axis), (a,), grad_fn)
-
-
-def l2norm(a: Tensor) -> Tensor:
-    """Euclidean norm of all elements; subgradient 0 at the origin."""
-    n = float(np.sqrt(np.sum(a.values ** 2)))
-    av = a.values
-    denom = n if n > 0.0 else 1.0
-    return _finish(np.asarray(n, dtype=av.dtype), (a,), lambda g: (g * av / denom,))
 
 
 def rownorm(a: Tensor) -> Tensor:
@@ -452,15 +435,13 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
 
 # --- gradient oracle ---
 
-def check_gradient(f: Callable[[Tensor], Tensor], x: Tensor,
-                   step: float = 1e-5) -> float:
+def check_gradient(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Compare analytic gradients of a scalar-valued f against central
-    finite differences.
+    finite differences with step 1e-5.
 
     Returns max over elements of |analytic - fd| / max(1, |fd|).
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    step = 1e-5
     probe = Tensor(x.values.copy(), requires_grad=True)
     with Tape() as tape:
         out = f(probe)

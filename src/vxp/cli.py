@@ -25,53 +25,45 @@ from .trainer import StageConfig
 
 log = logging.getLogger(__name__)
 
-_DEFAULTS = {
-    "traversals": 2,
-    "seed": 0,
-    "epochs": 10,
-    "lr": 1e-3,
-    "lr_decay": 0.9,
-    "batch_size": 32,
-    "descriptor_dim": 256,
-    "feature_dim": 64,
-    "vfe_dim": 32,
-    "local_loss_mode": "collision_normalized",
-    "projection": "perspective",
-    "radius": constants.EVAL_SUCCESS_RADIUS_M,
-    "metric": "L2",
-    "recall": "1,1pct",
+# option key -> (StageConfig field, cast); the defaults are StageConfig's
+_STAGE_OPTIONS = {
+    "epochs": ("epochs", int), "lr": ("base_lr", float), "lr_decay": ("lr_decay", float),
+    "batch_size": ("batch_size", int), "seed": ("seed", int),
+    "local_loss_mode": ("local_loss_mode", str), "projection": ("projection", str),
+    "descriptor_dim": ("descriptor_dim", int), "feature_dim": ("feature_dim", int),
+    "vfe_dim": ("vfe_dim", int),
 }
+_DEFAULTS = {key: getattr(StageConfig, name) for key, (name, _) in _STAGE_OPTIONS.items()}
+_DEFAULTS.update(traversals=2, radius=retrieval.EvalProtocol.success_radius_m,
+                 metric="L2", recall="1,1pct")
 
 
-def _read_config_file(path: str | None) -> dict[str, str]:
+def _read_config_file(path: str | None) -> dict[str, tuple[str, str]]:
+    """key -> (where, value), where is `path:line`."""
     if not path:
         return {}
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(dataio.read_file(path, text=True).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise VxpError(f"{path}:{lineno}: expected key=value")
-        values[key.strip()] = value.strip()
+        values[key.strip()] = (f"{path}:{lineno}", value.strip())
     return values
 
 
-def _resolve(args: argparse.Namespace, config: dict[str, str],
-             key: str, cast=str):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return cast(config[key])
-    if key == "seed" and "VXP_SEED" in os.environ:
-        return int(os.environ["VXP_SEED"])
-    return _DEFAULTS.get(key)
+def _cast(cast, text: str, where: str):
+    try:
+        return cast(text)
+    except ValueError:
+        raise VxpError(f"{where}: {text!r} is not a valid {cast.__name__}") from None
 
 
 class _Resolved:
-    """Precedence-resolved view over flags, config file and defaults."""
+    """Precedence-resolved view over flags, config file, VXP_SEED (for the
+    seed) and defaults."""
 
     def __init__(self, args: argparse.Namespace):
         self._args = args
@@ -79,7 +71,15 @@ class _Resolved:
         self._seen: dict[str, object] = {}
 
     def get(self, key: str, cast=str):
-        value = _resolve(self._args, self._config, key, cast)
+        value = getattr(self._args, key, None)
+        if value is None:
+            if key in self._config:
+                where, text = self._config[key]
+                value = _cast(cast, text, f"{where}: {key}")
+            elif key == "seed" and "VXP_SEED" in os.environ:
+                value = _cast(int, os.environ["VXP_SEED"], "VXP_SEED")
+            else:
+                value = _DEFAULTS[key]
         self._seen[key] = value
         return value
 
@@ -131,19 +131,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # --- train ---
 
 def _stage_config(args: argparse.Namespace, cfg: _Resolved) -> StageConfig:
-    return StageConfig(
-        stage=args.stage,
-        epochs=cfg.get("epochs", int),
-        base_lr=cfg.get("lr", float),
-        lr_decay=cfg.get("lr_decay", float),
-        batch_size=cfg.get("batch_size", int),
-        seed=cfg.get("seed", int),
-        local_loss_mode=cfg.get("local_loss_mode"),
-        projection=cfg.get("projection"),
-        descriptor_dim=cfg.get("descriptor_dim", int),
-        feature_dim=cfg.get("feature_dim", int),
-        vfe_dim=cfg.get("vfe_dim", int),
-    )
+    return StageConfig(stage=args.stage, **{
+        name: cfg.get(key, cast) for key, (name, cast) in _STAGE_OPTIONS.items()})
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -229,19 +218,18 @@ def _located(ids, descs, rows, label) -> retrieval.QuerySet:
         ids=ids, timestamps=np.asarray([rows[int(i)].timestamp_s for i in ids]))
 
 
-def _parse_recall_spec(spec: str) -> tuple[list[int], bool, bool]:
-    ks: list[int] = []
-    one_percent = False
-    curve = False
-    for token in spec.split(","):
-        token = token.strip()
-        if token == "1pct":
-            one_percent = True
-        elif token == "curve25":
-            curve = True
-        elif token:
-            ks.append(int(token))
-    return ks, one_percent, curve
+def _parse_recall_spec(spec: str, protocol: str) -> tuple[list[int], bool, bool]:
+    """(ks, recall@1%, curve) of a `--recall` list such as `1,5,1pct,curve25`."""
+    tokens = [token.strip() for token in spec.split(",") if token.strip()]
+    if not tokens:
+        raise VxpError(f"recall {spec!r}: names no metric")
+    if "curve25" in tokens and protocol != "plain":
+        raise VxpError(f"recall {spec!r}: curve25 needs --protocol plain")
+    for token in tokens:
+        if token not in ("1pct", "curve25") and not (token.isdecimal() and int(token) >= 1):
+            raise VxpError(f"recall {spec!r}: {token!r} is not a k >= 1, 1pct or curve25")
+    ks = [int(token) for token in tokens if token.isdecimal()]
+    return ks, "1pct" in tokens, "curve25" in tokens
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -250,12 +238,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     metric = cfg.get("metric")
     recall_spec = cfg.get("recall")
     cfg.print_if_requested()
+    ks, one_percent, curve = _parse_recall_spec(recall_spec, args.protocol)
 
     q_ids, q_descs = dataio.read_descriptors(args.query)
     db_ids, db_descs = dataio.read_descriptors(args.db)
     q_rows = dataio.parse_manifest(args.query_manifest)
     db_rows = dataio.parse_manifest(args.db_manifest)
-    ks, one_percent, curve = _parse_recall_spec(recall_spec)
     protocol = retrieval.EvalProtocol(success_radius_m=radius,
                                       k_list=tuple(ks) or (1,),
                                       one_percent=one_percent)
@@ -341,13 +329,14 @@ def _render_svg_curve(points: list[tuple[int, float]], title: str) -> str:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    lines = Path(args.input).read_text().splitlines()
+    lines = dataio.read_file(args.input, text=True).splitlines()
     if not lines or lines[0] != "k,recall":
         raise VxpError(f"{args.input}: expected a `k,recall` curve CSV")
     points = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         k, _, r = line.partition(",")
-        points.append((int(k), float(r)))
+        where = f"{args.input}:{lineno}"
+        points.append((_cast(int, k, f"{where}: k"), _cast(float, r, f"{where}: recall")))
     if not points:
         raise VxpError(f"{args.input}: no data rows")
     Path(args.out).write_text(_render_svg_curve(points, Path(args.input).stem))

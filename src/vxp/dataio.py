@@ -4,13 +4,14 @@ Formats owned here:
   * point cloud .bin   -- little-endian float32 quadruples (x, y, z, intensity)
   * manifest CSV       -- header `id,timestamp_s,x_m,y_m,z_m,cloud_path,image_path,run_id`
   * VXP-CAL v1         -- text calibration: normalized intrinsics + extrinsic rows
-  * KITTI calib.txt    -- imported and converted into a ProjectionModel
   * VXPD               -- binary descriptor sets (float32 payload)
   * VXPC               -- binary named-tensor checkpoints (float64 payload)
   * raw image grids    -- u32 width, u32 height, then float32 row-major values
 
 Parsers fail loudly with located errors; nothing is returned on partial
-reads.
+reads. Every reader gets its bytes or text from `read_file`, so a file that
+cannot be read is an IoError and text that is not UTF-8 a MalformedFile,
+each naming the path.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, prod
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import (BadMagic, DuplicateId, HeaderMismatch, IoError, MalformedFile,
-                     MissingKey, NonFinite, ParseError, TruncatedFile,
-                     VersionUnsupported)
+                     NonFinite, ParseError, TruncatedFile, VersionUnsupported)
 from .geometry import PointCloud, ProjectionModel, VoxelGridConfig, default_grid_config
 
 MANIFEST_HEADER = ["id", "timestamp_s", "x_m", "y_m", "z_m",
@@ -66,6 +66,20 @@ class TrainingSet:
     voxel_config: "VoxelGridConfig"
 
 
+def read_file(path, text: bool = False) -> bytes | str:
+    """The bytes of a file, or its UTF-8 text when text is true."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    if not text:
+        return raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: byte {exc.start} is not UTF-8") from exc
+
+
 # --- point clouds ---
 
 def load_point_cloud_bin(path) -> PointCloud:
@@ -74,10 +88,7 @@ def load_point_cloud_bin(path) -> PointCloud:
     A non-finite coordinate raises NonFinite naming its record.
     """
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_file(path)
     if len(raw) % 16 != 0:
         raise MalformedFile(f"{path}: size {len(raw)} not divisible by 16")
     points = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)[:, :3].astype(np.float64)
@@ -88,12 +99,10 @@ def load_point_cloud_bin(path) -> PointCloud:
     return PointCloud(points, sample_id=path.stem)
 
 
-def write_point_cloud_bin(path, points: np.ndarray,
-                          intensity: np.ndarray | None = None) -> None:
+def write_point_cloud_bin(path, points: np.ndarray) -> None:
+    """Write (x, y, z, 0) records; the intensity column is zero."""
     points = np.asarray(points, dtype=np.float64)
-    if intensity is None:
-        intensity = np.zeros(points.shape[0])
-    data = np.column_stack([points, intensity]).astype("<f4")
+    data = np.column_stack([points, np.zeros(points.shape[0])]).astype("<f4")
     Path(path).write_bytes(data.tobytes())
 
 
@@ -104,11 +113,7 @@ def load_image_raw(path) -> np.ndarray:
 
     A non-finite pixel raises NonFinite naming its row and column.
     """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_file(path)
     if len(raw) < 8:
         raise MalformedFile(f"{path}: missing dims header")
     width, height = struct.unpack("<II", raw[:8])
@@ -134,53 +139,6 @@ def write_image_raw(path, image: np.ndarray) -> None:
 
 # --- calibration ---
 
-def parse_kitti_calib(path, image_dims: tuple[int, int]) -> ProjectionModel:
-    """Import a KITTI-format calib file.
-
-    Intrinsics come from the P2 row (fx, fy, cx, cy), normalized by the
-    image width/height; the sensor-to-camera extrinsic comes from Tr. The
-    P2 translation column (rectified-camera offset) is ignored.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    rows: dict[str, list[float]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        try:
-            rows[key.strip()] = [float(tok) for tok in rest.split()]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad float in {key!r} row") from exc
-    for key in ("P2", "Tr"):
-        if key not in rows:
-            raise MissingKey(f"{path}: missing {key!r} row")
-        if len(rows[key]) != 12:
-            raise ParseError(f"{path}: {key!r} row needs 12 floats, got {len(rows[key])}")
-        if not np.isfinite(rows[key]).all():
-            raise ParseError(f"{path}: {key!r} values must be finite")
-    p2 = np.asarray(rows["P2"]).reshape(3, 4)
-    tr = np.asarray(rows["Tr"]).reshape(3, 4)
-    extrinsic = np.eye(4)
-    extrinsic[:3, :] = tr
-    width, height = image_dims
-    return _projection_model(path, p2[0, 0] / width, p2[1, 1] / height,
-                             p2[0, 2] / width, p2[1, 2] / height, extrinsic)
-
-
-def _projection_model(path, fx, fy, cx, cy, extrinsic) -> ProjectionModel:
-    """ProjectionModel of a calibration file; its ValueError (a focal length
-    <= 0 or a rotation that is not orthonormal) becomes a ParseError."""
-    try:
-        return ProjectionModel(fx_n=fx, fy_n=fy, cx_n=cx, cy_n=cy, extrinsic=extrinsic)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
 def write_calibration(path, proj: ProjectionModel) -> None:
     """Write the canonical VXP-CAL v1 text format."""
     lines = [CALIB_MAGIC,
@@ -191,11 +149,9 @@ def write_calibration(path, proj: ProjectionModel) -> None:
 
 
 def read_calibration(path) -> ProjectionModel:
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    """Read VXP-CAL v1; a focal length <= 0 or a rotation that is not
+    orthonormal is a ParseError."""
+    lines = read_file(path, text=True).splitlines()
     if not lines or lines[0].strip() != CALIB_MAGIC:
         raise BadMagic(f"{path}: not a {CALIB_MAGIC} file")
     if len(lines) < 5:
@@ -211,18 +167,16 @@ def read_calibration(path) -> ProjectionModel:
         raise ParseError(f"{path}: intrinsics and extrinsic must be finite")
     extrinsic = np.eye(4)
     extrinsic[:3, :] = rows
-    return _projection_model(path, fx, fy, cx, cy, extrinsic)
+    try:
+        return ProjectionModel(fx_n=fx, fy_n=fy, cx_n=cx, cy_n=cy, extrinsic=extrinsic)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # --- manifests ---
 
 def parse_manifest(path) -> list[SampleManifestRow]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(read_file(path, text=True).splitlines())
     try:
         header = next(reader)
     except StopIteration:
@@ -323,11 +277,7 @@ def read_descriptors(path) -> tuple[np.ndarray, np.ndarray]:
 
     Ids must be unique and descriptors finite; dim must be at least 1.
     """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_file(path)
     if len(raw) < 4 or raw[:4] != VXPD_MAGIC:
         raise BadMagic(f"{path}: bad magic")
     if len(raw) < 14:
@@ -366,11 +316,7 @@ def write_checkpoint(path, params: dict[str, Tensor]) -> None:
 
 
 def read_checkpoint(path) -> dict[str, Tensor]:
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_file(path)
     if len(raw) < 4 or raw[:4] != VXPC_MAGIC:
         raise BadMagic(f"{path}: bad magic")
     if len(raw) < 6:
@@ -395,12 +341,14 @@ def read_checkpoint(path) -> dict[str, Tensor]:
             raise DuplicateId(f"{path}: tensor {name!r} appears twice")
         offset += name_len
         (rank,) = struct.unpack_from("<B", raw, offset)
+        if rank > 32:  # the most dimensions numpy 1.x arrays can have
+            raise MalformedFile(f"{path}: tensor {name!r} has rank {rank}")
         offset += 1
         if offset + 4 * rank > len(raw):
             raise TruncatedFile(f"{path}: extents cut short")
-        extents = struct.unpack_from(f"<{rank}I", raw, offset) if rank else ()
+        extents = struct.unpack_from(f"<{rank}I", raw, offset)
         offset += 4 * rank
-        n_values = int(np.prod(extents)) if rank else 1
+        n_values = prod(extents)  # exact; np.prod wraps past int64
         if offset + 8 * n_values > len(raw):
             raise TruncatedFile(f"{path}: values cut short in {name!r}")
         values = np.frombuffer(raw, dtype="<f8", count=n_values, offset=offset)

@@ -91,10 +91,6 @@ class MalformedFile(VxpError):
     pass
 
 
-class MissingKey(VxpError):
-    pass
-
-
 class ParseError(VxpError):
     pass
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants
-from .errors import AllPointsCulled, EmptyCloud, NoVisibleVoxels
+from .errors import AllPointsCulled, EmptyCloud, NonFinite, NoVisibleVoxels
 
 # tolerance absorbing float rounding in (max-min)/size when the ratio is an
 # exact integer (44/0.4 evaluates to 110.00000000000001)
@@ -93,22 +93,23 @@ def voxelize(cloud: PointCloud, config: VoxelGridConfig, seed: int) -> VoxelGrid
     Points inside the half-open box [range_min, range_max) go to the voxel
     floor((p - min) / size); everything else is discarded. Voxels are in
     ascending flat-index order. Deterministic given (cloud, config, seed).
+    A non-finite coordinate raises NonFinite naming its point.
     """
     pts = cloud.points
     if pts.shape[0] == 0:
         raise EmptyCloud("point cloud has no points")
+    finite = np.isfinite(pts)
+    if not finite.all():
+        point = int(np.argmin(finite.all(axis=1)))
+        raise NonFinite(f"cloud {cloud.sample_id!r}: point {point} is not finite")
     lo = np.asarray(config.range_min)
     hi = np.asarray(config.range_max)
     size = np.asarray(config.voxel_size)
     dims = np.asarray(config.grid_dims)
 
     idx = np.floor((pts - lo) / size).astype(np.int64)
-    keep = (
-        np.all(pts >= lo, axis=1)
-        & np.all(pts < hi, axis=1)
-        & np.all(idx >= 0, axis=1)
-        & np.all(idx < dims, axis=1)
-    )
+    # pts >= lo already gives idx >= 0; idx < dims guards rounding at hi
+    keep = np.all(pts >= lo, axis=1) & np.all(pts < hi, axis=1) & np.all(idx < dims, axis=1)
     if not keep.any():
         raise AllPointsCulled("no point inside the configured range")
     pts = pts[keep]

@@ -64,18 +64,15 @@ class TrainingBatch:
     negative_mask: np.ndarray = field(default=None)
 
     @classmethod
-    def from_positions(cls, descriptors: Tensor, positions: np.ndarray,
-                       pos_thresh: float = constants.POSITIVE_THRESHOLD_M,
-                       neg_thresh: float = constants.NEGATIVE_THRESHOLD_M,
-                       ) -> "TrainingBatch":
+    def from_positions(cls, descriptors: Tensor, positions: np.ndarray) -> "TrainingBatch":
         positions = np.asarray(positions, dtype=np.float64)
         dists = np.sqrt(((positions[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2))
         off_diag = ~np.eye(positions.shape[0], dtype=bool)
         return cls(
             descriptors=descriptors,
             positions=positions,
-            positive_mask=(dists <= pos_thresh) & off_diag,
-            negative_mask=(dists > neg_thresh) & off_diag,
+            positive_mask=(dists <= constants.POSITIVE_THRESHOLD_M) & off_diag,
+            negative_mask=(dists > constants.NEGATIVE_THRESHOLD_M) & off_diag,
         )
 
     @property

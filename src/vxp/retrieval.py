@@ -191,19 +191,14 @@ def _check_queries(queries: np.ndarray, index: RetrievalIndex) -> None:
     _require_finite(queries, "query descriptors")
 
 
-def query_knn(index: RetrievalIndex, query: np.ndarray, k: int,
-              subset: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k smallest distances, ascending; ties resolve by lowest id.
-
-    subset optionally restricts the search to given row indices.
-    """
+def query_knn(index: RetrievalIndex, query: np.ndarray,
+              k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k smallest distances, ascending; ties resolve by lowest id."""
     query = np.asarray(query, dtype=np.float64).reshape(1, -1)
     _check_queries(query, index)
-    mask = None if subset is None else np.isin(np.arange(index.size), subset)[None]
-    n = index.size if mask is None else int(np.count_nonzero(mask))
-    if not 1 <= k <= n:
-        raise InvalidK(f"k={k} outside [1, {n}]")
-    qi, rows, _, _ = _shortlist(index, query, k, mask)
+    if not 1 <= k <= index.size:
+        raise InvalidK(f"k={k} outside [1, {index.size}]")
+    qi, rows, _, _ = _shortlist(index, query, k, None)
     _, rows, dists, _ = _rerank(index, query, qi, rows)
     return index.ids[rows[:k]], dists[:k]
 
@@ -261,21 +256,13 @@ def recall_from_ranks(ranks: np.ndarray, k: int) -> float:
 
 
 def recall_at_k(queries: QuerySet, index: RetrievalIndex, protocol: EvalProtocol,
-                k: int, subset_for_query: Callable[[int], np.ndarray] | None = None,
-                ) -> float:
+                k: int) -> float:
     """Fraction of queries whose top-k holds an entry within the success
     radius of the query position. Queries without any in-radius database
     entry are excluded from the denominator."""
     if k < 1:
         raise InvalidK(f"k={k}")
-    mask = None
-    if subset_for_query is not None:
-        def mask(lo: int, hi: int) -> np.ndarray:
-            out = np.zeros((hi - lo, index.size), dtype=bool)
-            for q in range(lo, hi):
-                out[q - lo, subset_for_query(q)] = True
-            return out
-    ranks = first_match_ranks(queries, index, protocol.success_radius_m, k, mask)
+    ranks = first_match_ranks(queries, index, protocol.success_radius_m, k)
     return recall_from_ranks(ranks, k)
 
 
@@ -284,11 +271,8 @@ def one_percent_k(database_size: int) -> int:
 
 
 def recall_at_one_percent(queries: QuerySet, index: RetrievalIndex,
-                          protocol: EvalProtocol,
-                          subset_for_query: Callable[[int], np.ndarray] | None = None,
-                          ) -> float:
-    return recall_at_k(queries, index, protocol, one_percent_k(index.size),
-                       subset_for_query)
+                          protocol: EvalProtocol) -> float:
+    return recall_at_k(queries, index, protocol, one_percent_k(index.size))
 
 
 def recall_curve(queries: QuerySet, index: RetrievalIndex, protocol: EvalProtocol,

@@ -230,19 +230,6 @@ def sparse_to_dense(feature_map: SparseFeatureMap) -> np.ndarray:
     return dense
 
 
-def dense_to_sparse(dense: np.ndarray, effective_voxel_size, range_min) -> SparseFeatureMap:
-    """Inverse of sparse_to_dense; keeps cells with any nonzero feature."""
-    occupied = np.any(dense != 0.0, axis=3)
-    coords = np.stack(np.nonzero(occupied), axis=1).astype(np.int64)
-    feats = dense[coords[:, 0], coords[:, 1], coords[:, 2]]
-    return SparseFeatureMap(
-        coords=coords, feats=Tensor(feats),
-        grid_dims=dense.shape[:3],
-        effective_voxel_size=tuple(effective_voxel_size),
-        range_min=tuple(range_min),
-    )
-
-
 @dataclass
 class BackboneParams:
     """VFE followed by a conv stack; ReLU after every convolution."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,8 @@ import numpy as np
 from . import autodiff as ad
 from . import constants, heads, losses, sparse3d
 from .autodiff import Tape, Tensor
-from .dataio import TrainingSet, write_checkpoint
+# write_checkpoint is bound here for the benchmark's tracer (perfbench/spans.py)
+from .dataio import TrainingSet, write_checkpoint  # noqa: F401
 from .errors import (AllPointsCulled, DegenerateDataset, EmptyCloud,
                      NoVisibleVoxels, ShapeMismatch)
 from .geometry import (ProjectedFeatureMap, VoxelGrid, VoxelGridConfig,
@@ -57,13 +58,11 @@ class StageConfig:
     lr_decay: float = 0.9  # per-epoch multiplier is lr_decay ** epoch
     batch_size: int = 32
     seed: int = 0
-    beta: float = constants.SMOOTH_L1_BETA
     local_loss_mode: str = "collision_normalized"
     projection: str = "perspective"  # or "orthographic" (ablation)
     image_gain: float = 1.0
     augment_shift_px: int = 0  # stage 1 only: random +-px translations
     conv_channels: tuple[int, ...] | None = None  # default: (feature_dim, feature_dim)
-    triplet: TripletConfig = field(default_factory=TripletConfig)
     descriptor_dim: int = 256
     feature_dim: int = 64
     vfe_dim: int = 32
@@ -148,10 +147,9 @@ def sample_voxel_seed(sample_id: str, run_seed: int) -> int:
 
 # --- parameter (de)construction around flat checkpoint dicts ---
 
-def init_image_params(cfg: StageConfig, rng: np.random.Generator,
-                      in_channels: int = 1) -> dict[str, Tensor]:
+def init_image_params(cfg: StageConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     channels = (*cfg.image_channels, cfg.feature_dim)
-    encoder = heads.init_image_encoder_params(in_channels, rng, channels=channels,
+    encoder = heads.init_image_encoder_params(1, rng, channels=channels,
                                               input_gain=cfg.image_gain)
     head = heads.init_gem_fcn_params(cfg.feature_dim, cfg.descriptor_dim, rng)
     params = dict(encoder.named("image.encoder"))
@@ -325,8 +323,8 @@ def train_stage_image(dataset: TrainingSet, cfg: StageConfig) -> StageResult:
 def _fit_image_branch(dataset: TrainingSet, cfg: StageConfig
                       ) -> tuple[dict[str, Tensor], list[tuple[int, int, float]]]:
     rng = np.random.default_rng(cfg.seed)
-    in_channels = 1
-    params = init_image_params(cfg, rng, in_channels)
+    triplet = TripletConfig()
+    params = init_image_params(cfg, rng)
     set_requires_grad(params, "image.", True)
     params["image.encoder.input_gain"].requires_grad = False
     encoder, head = image_branch_from(params)
@@ -355,13 +353,13 @@ def _fit_image_branch(dataset: TrainingSet, cfg: StageConfig
             with Tape() as tape:
                 desc = heads.encode_images(batch_images, encoder, head)
                 batch = TrainingBatch.from_positions(desc, positions[rows])
-                result = losses.triplet_loss_batch_hard(batch, cfg.triplet)
+                result = losses.triplet_loss_batch_hard(batch, triplet)
                 tape.backward(result.loss)
             adam_step(params, state, lr)
             history.append((epoch, step, float(result.loss.values)))
             step += 1
             new_size = losses.zero_triplet_expansion(result.zero_triplets,
-                                                     len(rows), cfg.triplet)
+                                                     len(rows), triplet)
             triggered = max(triggered, new_size)
         if triggered != batch_size:
             log.info("zero-triplet expansion: batch %d -> %d", batch_size, triggered)
@@ -496,12 +494,11 @@ def _fit_point_branch(dataset: TrainingSet, image_params: dict[str, Tensor],
                     if with_head:
                         pooled = heads.gem_pool(fmap.feats, head.p)
                         desc = heads.fcn_project(pooled, head, "point_cloud")
-                        term = losses.global_descriptor_loss(prep.target, desc.vector,
-                                                             cfg.beta)
+                        term = losses.global_descriptor_loss(prep.target, desc.vector)
                     else:
                         projected, image_map = prep.target
                         term = losses.local_descriptor_loss(
-                            projected, fmap.feats, image_map, cfg.local_loss_mode, cfg.beta)
+                            projected, fmap.feats, image_map, cfg.local_loss_mode)
                     total = term if total is None else ad.add(total, term)
                 tape.backward(total)
             adam_step(trainable, state, lr)
@@ -528,6 +525,3 @@ def train_stage_global(dataset: TrainingSet, image_params: dict[str, Tensor],
     return _point_branch_stage(dataset, image_params, cfg, with_head=True,
                                resume_params=local_params)
 
-
-def save_stage(path, result: StageResult) -> None:
-    write_checkpoint(path, result.params)

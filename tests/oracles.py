@@ -2,8 +2,10 @@
 
 Everything here is written from first principles with scalar math or plain
 dense numpy, deliberately sharing no code with the package under test. The
-one exception is sparse_conv3d, the plan-then-apply composition that tests
-use as a one-call sparse convolution; it is checked against dense_conv3d.
+exceptions are sparse_conv3d, the plan-then-apply composition that tests
+use as a one-call sparse convolution (it is checked against dense_conv3d),
+and the autodiff ops l2norm, the gradient suite's scalarizer, and
+segment_max_reduceat.
 """
 
 import math
@@ -259,3 +261,12 @@ def segment_max_reduceat(a, segment_ids, num_segments):
         return (buf,)
 
     return ad._finish(out, (a,), grad_fn)
+
+
+def l2norm(a):
+    """Euclidean norm of all elements as an autodiff op; subgradient 0 at
+    the origin. The gradient tests reduce a tensor to a scalar with it."""
+    n = float(np.sqrt(np.sum(a.values ** 2)))
+    av = a.values
+    denom = n if n > 0.0 else 1.0
+    return ad._finish(np.asarray(n, dtype=av.dtype), (a,), lambda g: (g * av / denom,))

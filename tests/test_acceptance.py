@@ -227,9 +227,9 @@ def test_criterion_3_gradient_suite():
         feats = rng.uniform(0.2, 2.0, size=(5, 3))
         p0 = rng.uniform(1.5, 5.0)
         worst = max(worst,
-                    ad.check_gradient(lambda t: ad.l2norm(heads.gem_pool(t, Tensor(p0))),
+                    ad.check_gradient(lambda t: oracles.l2norm(heads.gem_pool(t, Tensor(p0))),
                                       Tensor(feats)),
-                    ad.check_gradient(lambda t: ad.l2norm(heads.gem_pool(Tensor(feats), t)),
+                    ad.check_gradient(lambda t: oracles.l2norm(heads.gem_pool(Tensor(feats), t)),
                                       Tensor(p0)))
     results["gem(x,p)"] = worst
 
@@ -241,7 +241,7 @@ def test_criterion_3_gradient_suite():
         params = sparse3d.init_vfe_params(4, rng)
 
         def f(t, g=grid, b=params.b1):
-            return ad.l2norm(sparse3d.vfe_encode(g, sparse3d.VFEParams(w1=t, b1=b)).feats)
+            return oracles.l2norm(sparse3d.vfe_encode(g, sparse3d.VFEParams(w1=t, b1=b)).feats)
 
         worst = max(worst, ad.check_gradient(f, params.w1))
     results["vfe"] = worst
@@ -259,7 +259,7 @@ def test_criterion_3_gradient_suite():
 
         def f(t, fm=fmap, l=layer):
             probe = sparse3d.SparseConvLayer(kernel=t, bias=l.bias, kernel_size=3, stride=2)
-            return ad.l2norm(oracles.sparse_conv3d(fm, probe).feats)
+            return oracles.l2norm(oracles.sparse_conv3d(fm, probe).feats)
 
         worst = max(worst, ad.check_gradient(f, layer.kernel))
     results["sparse_conv"] = worst
@@ -274,7 +274,7 @@ def test_criterion_3_gradient_suite():
             probe = heads.ImageEncoderParams(block_w=[t, p.block_w[1], p.block_w[2]],
                                              block_b=p.block_b,
                                              input_gain=p.input_gain)
-            return ad.l2norm(heads.image_encode(im, probe).feats)
+            return oracles.l2norm(heads.image_encode(im, probe).feats)
 
         worst = max(worst, ad.check_gradient(f, params.block_w[0]))
     results["image_encoder"] = worst

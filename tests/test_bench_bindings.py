@@ -7,6 +7,7 @@ of those names would otherwise only fail in a traced benchmark run.
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -36,22 +37,85 @@ def test_tracer_installs_every_target_and_binding():
     assert not hasattr(geometry.project_voxels, "__wrapped__")
 
 
+def _vxp_bindings(tree: ast.Module) -> tuple[dict[str, object], list[str]]:
+    """Local name -> vxp module or object, from the module's vxp imports,
+    plus the `from vxp.x import y` names that vxp.x lacks."""
+    bound, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "vxp":
+            bound.update({a.asname or a.name: importlib.import_module(f"vxp.{a.name}")
+                          for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vxp."):
+            module = importlib.import_module(node.module)
+            for a in node.names:
+                if hasattr(module, a.name):
+                    bound[a.asname or a.name] = getattr(module, a.name)
+                else:
+                    missing.append(f"{node.module}.{a.name}")
+    return bound, missing
+
+
 def test_vxp_names_used_by_workloads_exist():
     missing = []
     for name in ("workloads.py", "checks.py"):
         tree = ast.parse((PERFBENCH / name).read_text())
-        aliases = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "vxp":
-                aliases.update({a.asname or a.name: f"vxp.{a.name}" for a in node.names})
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vxp."):
-                module = importlib.import_module(node.module)
-                missing += [f"{node.module}.{a.name}" for a in node.names
-                            if not hasattr(module, a.name)]
+        bound, gone = _vxp_bindings(tree)
+        missing += gone
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in aliases):
-                module = importlib.import_module(aliases[node.value.id])
-                if not hasattr(module, node.attr):
-                    missing.append(f"{name}: {aliases[node.value.id]}.{node.attr}")
+                    and isinstance(bound.get(node.value.id), types.ModuleType)
+                    and not hasattr(bound[node.value.id], node.attr)):
+                missing.append(f"{name}: {bound[node.value.id].__name__}.{node.attr}")
     assert not missing, missing
+
+
+def _dict_keywords(tree: ast.Module) -> dict[str, list[str]]:
+    """Module-level `NAME = dict(key=..., ...)` assignments -> their keys."""
+    out = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name) and node.value.func.id == "dict"
+                and not node.value.args):
+            out[node.targets[0].id] = [k.arg for k in node.value.keywords]
+    return out
+
+
+def test_vxp_calls_in_workloads_bind_to_signatures():
+    """Every call perfbench makes to a vxp function or class binds to its
+    signature: arity and keyword names. `**NAME` of a module-level dict(...)
+    expands to its keys; any other `*args` or `**kwargs` binds partially."""
+    bad, checked = [], 0
+    for name in ("workloads.py", "checks.py"):
+        tree = ast.parse((PERFBENCH / name).read_text())
+        bound, _ = _vxp_bindings(tree)
+        dicts = _dict_keywords(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in bound:
+                target = bound[func.id]
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and isinstance(bound.get(func.value.id), types.ModuleType)):
+                target = getattr(bound[func.value.id], func.attr)
+            else:
+                continue
+            partial = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = [k.arg for k in node.keywords if k.arg is not None]
+            for k in node.keywords:
+                if k.arg is not None:
+                    continue
+                if isinstance(k.value, ast.Name) and k.value.id in dicts:
+                    keywords += dicts[k.value.id]
+                else:
+                    partial = True
+            signature = inspect.signature(target)
+            bind = signature.bind_partial if partial else signature.bind
+            try:
+                bind(*[None] * len(node.args), **dict.fromkeys(keywords))
+            except TypeError as exc:
+                bad.append(f"{name}:{node.lineno}: {ast.unparse(func)}: {exc}")
+            checked += 1
+    assert checked > 50  # the walk found perfbench's calls
+    assert not bad, bad

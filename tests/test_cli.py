@@ -73,6 +73,30 @@ def test_config_file_precedence(tmp_path, capsys):
     assert "traversals=1" in printed  # config beats default
 
 
+def test_config_value_that_fails_its_cast_is_located(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# stage 1\nepochs=abc\n")
+    code = run(["train", "--stage", "image", "--manifest", str(tmp_path / "m.csv"),
+                "--calib", str(tmp_path / "c.vxpcal"), "--out", str(tmp_path / "ck.vxpc"),
+                "--config", str(cfg)])
+    assert code == 1
+    assert "run.cfg:2: epochs: 'abc' is not a valid int" in capsys.readouterr().err
+
+
+def test_bad_vxp_seed_is_located(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VXP_SEED", "7x")
+    assert run(["synth", "--scenes", "1", "--out", str(tmp_path / "d")]) == 1
+    assert "VXP_SEED: '7x' is not a valid int" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_plot_bad_row_is_located(tmp_path, capsys):
+    curve = tmp_path / "c.csv"
+    curve.write_text("k,recall\n1,0.5\n2,high\n")
+    assert run(["plot", "--in", str(curve), "--out", str(tmp_path / "c.svg")]) == 1
+    assert "c.csv:3: recall: 'high' is not a valid float" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def tiny_pipeline(tmp_path_factory):
     """synth -> 3 training stages -> extraction, small enough for CI."""
@@ -204,3 +228,23 @@ def test_eval_curve_feeds_plot(tiny_pipeline, tmp_path):
     svg = tmp_path / "results.svg"
     assert run(["plot", "--in", str(out) + ".curve.csv", "--out", str(svg)]) == 0
     assert "polyline" in svg.read_text()
+
+
+@pytest.mark.parametrize("protocol,spec,message", [
+    ("plain", "1,x", "'x' is not a k >= 1, 1pct or curve25"),
+    ("plain", "0", "'0' is not a k >= 1"),
+    ("plain", "", "names no metric"),
+    ("plain", " , ", "names no metric"),
+    ("oxford", "1,curve25", "curve25 needs --protocol plain"),
+    ("kitti", "curve25", "curve25 needs --protocol plain"),
+], ids=["not_a_number", "zero", "empty", "blank_tokens", "curve_oxford", "curve_kitti"])
+def test_eval_rejects_bad_recall_spec(tiny_pipeline, tmp_path, capsys, protocol, spec,
+                                      message):
+    out = tmp_path / "res.csv"
+    code = run(["eval", "--query", tiny_pipeline["v2d"], "--db", tiny_pipeline["v3d"],
+                "--query-manifest", tiny_pipeline["manifest"],
+                "--db-manifest", tiny_pipeline["manifest"],
+                "--protocol", protocol, "--recall", spec, "--out", str(out)])
+    assert code == 1
+    assert f"recall {spec!r}: {message}" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".curve.csv").exists()

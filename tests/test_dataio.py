@@ -1,15 +1,35 @@
 """File formats round-trip exactly; malformed inputs raise located errors."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from oracles import write_descriptors_per_record
 from vxp import dataio, synthetic
 from vxp.autodiff import Tensor
-from vxp.errors import (BadMagic, DuplicateId, HeaderMismatch, MalformedFile,
-                        MissingKey, NonFinite, ParseError, TruncatedFile,
-                        VersionUnsupported)
+from vxp.errors import (BadMagic, DuplicateId, HeaderMismatch, IoError, MalformedFile,
+                        NonFinite, ParseError, TruncatedFile, VersionUnsupported)
 from vxp.geometry import ProjectionModel
+
+
+READERS = [dataio.load_point_cloud_bin, dataio.load_image_raw, dataio.read_calibration,
+           dataio.parse_manifest, dataio.read_descriptors, dataio.read_checkpoint]
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
+def test_unreadable_file_is_io_error_naming_path(tmp_path, reader):
+    with pytest.raises(IoError, match="missing.dat"):
+        reader(tmp_path / "missing.dat")
+
+
+@pytest.mark.parametrize("reader", [dataio.read_calibration, dataio.parse_manifest],
+                         ids=lambda r: r.__name__)
+def test_non_utf8_text_is_malformed_naming_path(tmp_path, reader):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes("VXP-CAL v1\nid,caf\xe9\n".encode("latin-1"))
+    with pytest.raises(MalformedFile, match=r"latin1\.txt: byte 17 is not UTF-8"):
+        reader(p)
 
 
 class TestPointCloudBin:
@@ -55,7 +75,6 @@ class TestImageRaw:
 
     def test_truncated(self, tmp_path):
         p = tmp_path / "t.img"
-        import struct
         p.write_bytes(struct.pack("<II", 4, 4) + b"\x00" * 10)
         with pytest.raises(MalformedFile):
             dataio.load_image_raw(p)
@@ -68,48 +87,6 @@ class TestImageRaw:
         dataio.write_image_raw(p, img)
         with pytest.raises(NonFinite, match=r"nan\.img: pixel \(row 1, column 3\)"):
             dataio.load_image_raw(p)
-
-
-class TestKittiCalib:
-    def test_identity_normalization(self, tmp_path):
-        p = tmp_path / "calib.txt"
-        p.write_text("P2: 1 0 0.5 0 0 1 0.5 0 0 0 1 0\n"
-                     "Tr: 1 0 0 0 0 1 0 0 0 0 1 0\n")
-        proj = dataio.parse_kitti_calib(p, (1, 1))
-        assert (proj.fx_n, proj.fy_n, proj.cx_n, proj.cy_n) == (1.0, 1.0, 0.5, 0.5)
-        assert np.array_equal(proj.extrinsic, np.eye(4))
-
-    def test_focal_normalized_by_width(self, tmp_path):
-        p = tmp_path / "calib.txt"
-        p.write_text("P2: 500 0 500 0 0 500 250 0 0 0 1 0\n"
-                     "Tr: 1 0 0 0 0 1 0 0 0 0 1 0\n")
-        proj = dataio.parse_kitti_calib(p, (1000, 500))
-        assert proj.fx_n == 0.5
-        assert proj.fy_n == 1.0
-
-    def test_missing_key(self, tmp_path):
-        p = tmp_path / "calib.txt"
-        p.write_text("P2: 1 0 0.5 0 0 1 0.5 0 0 0 1 0\n")
-        with pytest.raises(MissingKey):
-            dataio.parse_kitti_calib(p, (1, 1))
-
-    def test_parse_error(self, tmp_path):
-        p = tmp_path / "calib.txt"
-        p.write_text("P2: a b c\nTr: 1 0 0 0 0 1 0 0 0 0 1 0\n")
-        with pytest.raises(ParseError):
-            dataio.parse_kitti_calib(p, (1, 1))
-
-    @pytest.mark.parametrize("p2,tr,match", [
-        ("1 0 0.5 0 0 1 0.5 0 0 0 1 0", "2 0 0 0 0 1 0 0 0 0 1 0", "orthonormal"),
-        ("0 0 0.5 0 0 1 0.5 0 0 0 1 0", "1 0 0 0 0 1 0 0 0 0 1 0", "focal"),
-        ("nan 0 0.5 0 0 1 0.5 0 0 0 1 0", "1 0 0 0 0 1 0 0 0 0 1 0", "'P2'.*finite"),
-        ("1 0 0.5 0 0 1 0.5 0 0 0 1 0", "1 0 0 inf 0 1 0 0 0 0 1 0", "'Tr'.*finite"),
-    ], ids=["rotation", "focal", "nan_p2", "inf_tr"])
-    def test_invalid_model_is_parse_error(self, tmp_path, p2, tr, match):
-        p = tmp_path / "calib.txt"
-        p.write_text(f"P2: {p2}\nTr: {tr}\n")
-        with pytest.raises(ParseError, match=f"calib.txt: .*{match}"):
-            dataio.parse_kitti_calib(p, (1, 1))
 
 
 class TestCalibrationFile:
@@ -353,6 +330,24 @@ class TestCheckpointFile:
         w[1, 2] = value
         dataio.write_checkpoint(p, {"a": Tensor(np.ones(3)), "b.w": Tensor(w)})
         with pytest.raises(NonFinite, match="'b.w'"):
+            dataio.read_checkpoint(p)
+
+    @pytest.mark.parametrize("extents", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 31, 2 ** 31, 4)],
+                             ids=["u32_max_squared", "2e31_squared_x4"])
+    def test_extents_past_int64_are_truncation(self, tmp_path, extents):
+        # np.prod of these extents wraps around int64 (to 1 and to 0)
+        p = tmp_path / "c.vxpc"
+        p.write_bytes(dataio.VXPC_MAGIC + struct.pack("<HH", 1, 1) + b"a"
+                      + struct.pack(f"<B{len(extents)}I", len(extents), *extents)
+                      + np.ones(4).tobytes())
+        with pytest.raises(TruncatedFile, match="values cut short in 'a'"):
+            dataio.read_checkpoint(p)
+
+    def test_rank_beyond_numpy_is_malformed(self, tmp_path):
+        p = tmp_path / "c.vxpc"
+        p.write_bytes(dataio.VXPC_MAGIC + struct.pack("<HH", 1, 1) + b"a"
+                      + struct.pack("<B65I", 65, *([0] * 65)))
+        with pytest.raises(MalformedFile, match="rank 65"):
             dataio.read_checkpoint(p)
 
 

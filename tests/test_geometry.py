@@ -5,7 +5,7 @@ import pytest
 
 from oracles import scalar_pinhole, voxelize_per_voxel
 from vxp import geometry as geo
-from vxp.errors import AllPointsCulled, EmptyCloud, NoVisibleVoxels
+from vxp.errors import AllPointsCulled, EmptyCloud, NonFinite, NoVisibleVoxels
 
 
 def identity_projection(fx=0.5, fy=0.5, cx=0.5, cy=0.5):
@@ -52,6 +52,14 @@ class TestVoxelize:
             geo.voxelize(geo.PointCloud(np.zeros((0, 3))), cfg, seed=0)
         with pytest.raises(AllPointsCulled):
             geo.voxelize(geo.PointCloud(np.array([[99.0, 99.0, 99.0]])), cfg, seed=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, value):
+        pts = np.array([[0.5, 0.0, 0.0], [1.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
+        pts[1, 2] = value
+        cloud = geo.PointCloud(pts, sample_id="s7")
+        with pytest.raises(NonFinite, match="cloud 's7': point 1 "):
+            geo.voxelize(cloud, geo.default_grid_config(), seed=0)
 
     def test_partition_against_per_point_oracle(self):
         cfg = geo.VoxelGridConfig((0, -2, -2), (4, 2, 2), (0.5, 0.5, 0.5),

@@ -309,14 +309,20 @@ class TestEngine:
         monkeypatch.setattr(rt, "_BLOCK_ELEMS", 3 * n)
         rows_for = [np.arange(j % 7, n, 7) for j in range(n)]
         rows_for[0] = np.zeros(0, dtype=np.int64)  # a query with no candidate
+        allowed = np.zeros((n, n), dtype=bool)
+        for q, rows in enumerate(rows_for):
+            allowed[q, rows] = True
         queries = rt.QuerySet(descs, pos)
-        proto = rt.EvalProtocol()
+        radius = rt.EvalProtocol().success_radius_m
         for k in (1, 9, 40):  # 40 is more than any subset holds
-            want = ranks_oracle(descs, pos, descs, pos, ids, proto.success_radius_m, k,
+            want = ranks_oracle(descs, pos, descs, pos, ids, radius, k,
                                 lambda q: rows_for[q])
             assert want[0] == -1
-            got = rt.recall_at_k(queries, idx, proto, k, lambda q: rows_for[q])
-            assert got == np.count_nonzero((want >= 0) & (want < k)) / np.count_nonzero(want >= 0)
+            got = rt.first_match_ranks(queries, idx, radius, k,
+                                       lambda lo, hi: allowed[lo:hi])
+            assert np.array_equal(got, want)
+            assert rt.recall_from_ranks(got, k) == (
+                np.count_nonzero((want >= 0) & (want < k)) / np.count_nonzero(want >= 0))
 
         # the revisit protocol against per-query brute force over its masks
         proto = rt.EvalProtocol(k_list=(1, 3), sampling_interval_m=8.0,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import (dense_conv3d, occupied_pair_count, receptive_field_mask,
+from oracles import (dense_conv3d, l2norm, occupied_pair_count, receptive_field_mask,
                      sparse_conv3d, voxelize_per_voxel)
 from vxp import autodiff as ad
 from vxp import sparse3d as s3
@@ -198,7 +198,7 @@ class TestSparseConv:
         def f(k):
             probe = s3.SparseConvLayer(kernel=k, bias=layer.bias,
                                        kernel_size=3, stride=2)
-            return ad.l2norm(sparse_conv3d(fmap, probe).feats)
+            return l2norm(sparse_conv3d(fmap, probe).feats)
 
         assert ad.check_gradient(f, layer.kernel) < 1e-4
 
@@ -226,10 +226,11 @@ class TestDense:
             fmap = random_map(rng, (5, 6, 4), 15, 3)
             # guarantee no all-zero feature rows
             fmap.feats.values[np.all(fmap.feats.values == 0, axis=1), 0] = 1.0
-            back = s3.dense_to_sparse(s3.sparse_to_dense(fmap),
-                                      fmap.effective_voxel_size, fmap.range_min)
-            assert np.array_equal(back.coords, fmap.coords)
-            assert np.array_equal(back.feats.values, fmap.feats.values)
+            dense = s3.sparse_to_dense(fmap)
+            # back to sparse: the cells with a nonzero feature, in C order
+            coords = np.stack(np.nonzero(np.any(dense != 0.0, axis=3)), axis=1)
+            assert np.array_equal(coords, fmap.coords)
+            assert np.array_equal(dense[tuple(coords.T)], fmap.feats.values)
 
 
 class TestBackbone:
@@ -276,6 +277,6 @@ class TestBackbone:
         def f(w):
             probe = s3.BackboneParams(
                 vfe=s3.VFEParams(w1=w, b1=params.vfe.b1), layers=params.layers)
-            return ad.l2norm(s3.point_cloud_backbone(grid, probe).feats)
+            return l2norm(s3.point_cloud_backbone(grid, probe).feats)
 
         assert ad.check_gradient(f, params.vfe.w1) < 1e-4
