@@ -1,9 +1,10 @@
 """Command-line pipeline: synth / train / extract / index / eval / plot.
 
-Option precedence is flags > config file (key=value lines) > built-in
-defaults; `--print-config` echoes the resolved values. Exit codes: 0 on
-success, 1 on runtime failure (message on stderr), 2 on usage errors.
-`VXP_SEED` provides the seed when no --seed flag or config entry is given.
+Option precedence for synth, train, extract and eval is flags > config file
+(key=value lines) > built-in defaults; `--print-config` echoes the resolved
+values. Exit codes: 0 on success, 1 on runtime failure (message on stderr),
+2 on usage errors. `VXP_SEED` provides the seed when no --seed flag or
+config entry is given.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import constants, heads, retrieval, trainer
+from . import constants, heads, losses, retrieval, trainer
 from . import dataio
 from .errors import VxpError
 from .geometry import default_grid_config
-from .synthetic import SyntheticSceneParams, generate_synthetic_scene
+from .synthetic import SyntheticSceneParams, synthetic_training_set
 from .trainer import StageConfig
-
-log = logging.getLogger(__name__)
 
 # option key -> (StageConfig field, cast); the defaults are StageConfig's
 _STAGE_OPTIONS = {
@@ -36,6 +35,9 @@ _STAGE_OPTIONS = {
 _DEFAULTS = {key: getattr(StageConfig, name) for key, (name, _) in _STAGE_OPTIONS.items()}
 _DEFAULTS.update(traversals=2, radius=retrieval.EvalProtocol.success_radius_m,
                  metric="L2", recall="1,1pct")
+# option key -> allowed values, for the flag and the config file alike
+_CHOICES = {"local_loss_mode": losses.LOCAL_LOSS_MODES, "projection": trainer.PROJECTIONS,
+            "metric": retrieval.METRICS}
 
 
 def _read_config_file(path: str | None) -> dict[str, tuple[str, str]]:
@@ -76,6 +78,9 @@ class _Resolved:
             if key in self._config:
                 where, text = self._config[key]
                 value = _cast(cast, text, f"{where}: {key}")
+                if key in _CHOICES and value not in _CHOICES[key]:
+                    raise VxpError(f"{where}: {key}: {value!r} is not one of "
+                                   + ", ".join(_CHOICES[key]))
             elif key == "seed" and "VXP_SEED" in os.environ:
                 value = _cast(int, os.environ["VXP_SEED"], "VXP_SEED")
             else:
@@ -99,32 +104,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _Resolved(args)
-    scenes = args.scenes
     seed = cfg.get("seed", int)
     traversals = cfg.get("traversals", int)
-    out = Path(args.out)
     cfg.print_if_requested()
-
-    (out / "clouds").mkdir(parents=True, exist_ok=True)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    params = SyntheticSceneParams(seed=seed)
-    rows = []
-    for scene in range(scenes):
-        for t in range(traversals):
-            sample = generate_synthetic_scene(params, scene, t)
-            sid = sample.cloud.sample_id
-            cloud_rel = f"clouds/{sid}.bin"
-            image_rel = f"images/{sid}.img"
-            dataio.write_point_cloud_bin(out / cloud_rel, sample.cloud.points)
-            dataio.write_image_raw(out / image_rel, sample.image)
-            rows.append(dataio.SampleManifestRow(
-                sample_id=sid, timestamp_s=t * 10_000.0 + scene * 20.0,
-                position=sample.position, cloud_path=cloud_rel,
-                image_path=image_rel, run_id=f"t{t}"))
-    dataio.write_manifest(out / "manifest.csv", rows)
-    dataio.write_calibration(out / "calib.vxpcal",
-                             generate_synthetic_scene(params, 0, 0).projection)
-    print(f"wrote {len(rows)} samples under {out}")
+    dataset = synthetic_training_set(SyntheticSceneParams(seed=seed), range(args.scenes),
+                                     traversals)
+    dataio.write_training_set(args.out, dataset)
+    print(f"wrote {len(dataset.samples)} samples under {Path(args.out)}")
     return 0
 
 
@@ -374,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor-dim", type=int, dest="descriptor_dim")
     p.add_argument("--feature-dim", type=int, dest="feature_dim")
     p.add_argument("--vfe-dim", type=int, dest="vfe_dim")
-    p.add_argument("--local-loss-mode", choices=("depth_scaled", "collision_normalized"),
+    p.add_argument("--local-loss-mode", choices=_CHOICES["local_loss_mode"],
                    dest="local_loss_mode")
-    p.add_argument("--projection", choices=("perspective", "orthographic"))
+    p.add_argument("--projection", choices=_CHOICES["projection"])
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -392,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("index", help="validate and sort a descriptor file")
     p.add_argument("--db", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_index)
 
     p = subs.add_parser("eval", help="recall evaluation")
@@ -403,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("oxford", "kitti", "plain"), default="plain")
     p.add_argument("--recall")
     p.add_argument("--radius", type=float)
-    p.add_argument("--metric", choices=("L2", "L1"))
+    p.add_argument("--metric", choices=_CHOICES["metric"])
     p.add_argument("--out", required=True)
     p.add_argument("--curve-out", dest="curve_out")
     _add_common(p)
@@ -412,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("plot", help="render a recall curve CSV as SVG")
     p.add_argument("--in", required=True, dest="input")
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_plot)
 
     return parser

@@ -17,6 +17,7 @@ each naming the path.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 from math import isfinite, prod
@@ -130,8 +131,6 @@ def load_image_raw(path) -> np.ndarray:
 
 def write_image_raw(path, image: np.ndarray) -> None:
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 3:
-        image = image[:, :, 0]
     height, width = image.shape
     payload = struct.pack("<II", width, height) + image.astype("<f4").tobytes()
     Path(path).write_bytes(payload)
@@ -176,43 +175,47 @@ def read_calibration(path) -> ProjectionModel:
 # --- manifests ---
 
 def parse_manifest(path) -> list[SampleManifestRow]:
-    reader = csv.reader(read_file(path, text=True).splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise HeaderMismatch(f"{path}: empty file") from None
-    if header != MANIFEST_HEADER:
-        raise HeaderMismatch(f"{path}: header {header} != {MANIFEST_HEADER}")
+    """Manifest rows; an error names the line on which its record ends."""
+    reader = csv.reader(io.StringIO(read_file(path, text=True), newline=""))
     rows: list[SampleManifestRow] = []
     seen: set[str] = set()
-    for lineno, rec in enumerate(reader, start=2):
-        if len(rec) != len(MANIFEST_HEADER):
-            raise ParseError(f"{path}:{lineno}: expected {len(MANIFEST_HEADER)} fields")
-        sample_id = rec[0]
-        if sample_id in seen:
-            raise DuplicateId(f"{path}:{lineno}: duplicate id {sample_id!r}")
-        seen.add(sample_id)
-        try:
-            ts = float(rec[1])
-            x, y, z = float(rec[2]), float(rec[3]), float(rec[4])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad float") from exc
-        if not (isfinite(ts) and isfinite(x) and isfinite(y) and isfinite(z)):
-            raise ParseError(f"{path}:{lineno}: timestamp and position must be finite")
-        rows.append(SampleManifestRow(
-            sample_id=sample_id, timestamp_s=ts, position=(x, y, z),
-            cloud_path=rec[5], image_path=rec[6], run_id=rec[7]))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise HeaderMismatch(f"{path}: empty file")
+        if header != MANIFEST_HEADER:
+            raise HeaderMismatch(f"{path}: header {header} != {MANIFEST_HEADER}")
+        for rec in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(MANIFEST_HEADER):
+                raise ParseError(f"{where}: expected {len(MANIFEST_HEADER)} fields")
+            sample_id = rec[0]
+            if sample_id in seen:
+                raise DuplicateId(f"{where}: duplicate id {sample_id!r}")
+            seen.add(sample_id)
+            try:
+                ts = float(rec[1])
+                x, y, z = float(rec[2]), float(rec[3]), float(rec[4])
+            except ValueError as exc:
+                raise ParseError(f"{where}: bad float") from exc
+            if not (isfinite(ts) and isfinite(x) and isfinite(y) and isfinite(z)):
+                raise ParseError(f"{where}: timestamp and position must be finite")
+            rows.append(SampleManifestRow(
+                sample_id=sample_id, timestamp_s=ts, position=(x, y, z),
+                cloud_path=rec[5], image_path=rec[6], run_id=rec[7]))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
 
 def write_manifest(path, rows: list[SampleManifestRow]) -> None:
-    lines = [",".join(MANIFEST_HEADER)]
-    for r in rows:
-        lines.append(",".join([
-            r.sample_id, repr(r.timestamp_s),
-            repr(r.position[0]), repr(r.position[1]), repr(r.position[2]),
-            r.cloud_path, r.image_path, r.run_id]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Minimal CSV quoting: a field with a comma, quote or line feed is quoted."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(MANIFEST_HEADER)
+        writer.writerows([r.sample_id, repr(r.timestamp_s), repr(r.position[0]),
+                          repr(r.position[1]), repr(r.position[2]),
+                          r.cloud_path, r.image_path, r.run_id] for r in rows)
 
 
 def load_training_set(manifest_path, calib_path,
@@ -230,6 +233,24 @@ def load_training_set(manifest_path, calib_path,
             run_id=r.run_id, image=load_image_raw(base / r.image_path), cloud=cloud))
     return TrainingSet(samples=samples, projection=projection,
                        voxel_config=voxel_config or default_grid_config())
+
+
+def write_training_set(out_dir, dataset: TrainingSet) -> None:
+    """The inverse of load_training_set: clouds/<id>.bin and images/<id>.img
+    per sample, then manifest.csv and calib.vxpcal, under out_dir."""
+    out = Path(out_dir)
+    for sub in ("clouds", "images"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    rows = []
+    for s in dataset.samples:
+        cloud_rel, image_rel = f"clouds/{s.sample_id}.bin", f"images/{s.sample_id}.img"
+        write_point_cloud_bin(out / cloud_rel, s.cloud.points)
+        write_image_raw(out / image_rel, s.image)
+        rows.append(SampleManifestRow(
+            sample_id=s.sample_id, timestamp_s=s.timestamp_s, position=s.position,
+            cloud_path=cloud_rel, image_path=image_rel, run_id=s.run_id))
+    write_manifest(out / "manifest.csv", rows)
+    write_calibration(out / "calib.vxpcal", dataset.projection)
 
 
 # --- descriptor files (VXPD) ---
@@ -285,8 +306,8 @@ def read_descriptors(path) -> tuple[np.ndarray, np.ndarray]:
     version, dim, count = struct.unpack_from("<HII", raw, 4)
     if version != 1:
         raise VersionUnsupported(f"{path}: version {version}")
-    if dim == 0:
-        raise MalformedFile(f"{path}: descriptor_dim is 0")
+    if dim == 0 or 8 + 4 * dim > np.iinfo(np.intc).max:  # numpy's record size limit
+        raise MalformedFile(f"{path}: descriptor_dim is {dim}")
     record = 8 + 4 * dim
     if len(raw) != 14 + record * count:
         raise TruncatedFile(f"{path}: expected {14 + record * count} bytes, got {len(raw)}")
@@ -351,6 +372,8 @@ def read_checkpoint(path) -> dict[str, Tensor]:
         n_values = prod(extents)  # exact; np.prod wraps past int64
         if offset + 8 * n_values > len(raw):
             raise TruncatedFile(f"{path}: values cut short in {name!r}")
+        if 8 * prod(e for e in extents if e) > np.iinfo(np.intp).max:
+            raise MalformedFile(f"{path}: tensor {name!r} extents {extents} are too large")
         values = np.frombuffer(raw, dtype="<f8", count=n_values, offset=offset)
         if not np.isfinite(values).all():
             raise NonFinite(f"{path}: tensor {name!r} has non-finite values")

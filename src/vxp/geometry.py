@@ -60,7 +60,6 @@ def default_grid_config(max_points_per_voxel: int = constants.MAX_POINTS_PER_VOX
 class PointCloud:
     points: np.ndarray  # (N, 3) float64, meters, sensor frame {P}
     sample_id: str = ""
-    timestamp_s: float | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -200,36 +199,41 @@ class ProjectedFeatureMap:
         return self.pixel_v * self.width + self.pixel_u
 
 
+def pinhole(points: np.ndarray, proj: ProjectionModel, width: int, height: int
+            ) -> tuple[np.ndarray, ...]:
+    """(u, v, u_continuous, v_continuous, depth, visible) of (N, 3) sensor-frame
+    points on a width x height pixel grid: u, v are the floored int64 pixels;
+    visible is depth > 0 with the pixel on the grid."""
+    rot = proj.extrinsic[:3, :3]
+    trans = proj.extrinsic[:3, 3]
+    cam = points @ rot.T + trans
+    depth = cam[:, 2]
+    visible = depth > 0.0
+    fx, fy, cx, cy = proj.intrinsics_for(width, height)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_cont = fx * cam[:, 0] / depth + cx
+        v_cont = fy * cam[:, 1] / depth + cy
+        u = np.floor(u_cont).astype(np.int64)
+        v = np.floor(v_cont).astype(np.int64)
+    visible &= (u >= 0) & (u < width) & (v >= 0) & (v < height)
+    return u, v, u_cont, v_cont, depth, visible
+
+
 def project_voxels(coords: np.ndarray, voxel_size, range_min, proj: ProjectionModel,
                    feat_dims: tuple[int, int]) -> ProjectedFeatureMap:
     """Perspective-project voxel centers onto a feature grid.
 
     coords are (T, 3) grid indices of voxels of edge voxel_size (the coarse,
     strided size for a backbone's output) whose grid starts at range_min.
-    Centers are moved into the camera frame and put through the pinhole
-    model with intrinsics scaled to feat_dims = (width, height). Entries
-    behind the camera or off the grid are culled; every surviving voxel is
-    kept, including pixel collisions (no z-buffering). voxel_index refers to
-    rows of coords.
+    Their centers go through pinhole on a feat_dims = (width, height) grid;
+    every visible voxel is kept, including pixel collisions (no
+    z-buffering). voxel_index refers to rows of coords.
     """
     width, height = int(feat_dims[0]), int(feat_dims[1])
     if width < 1 or height < 1:
         raise ValueError("feature map dims must be >= 1")
     centers = voxel_center_to_lidar(coords, voxel_size, range_min)
-
-    rot = proj.extrinsic[:3, :3]
-    trans = proj.extrinsic[:3, 3]
-    cam = centers @ rot.T + trans
-    depth = cam[:, 2]
-
-    visible = depth > 0.0
-    fx, fy, cx, cy = proj.intrinsics_for(width, height)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u_cont = fx * cam[:, 0] / depth + cx
-        v_cont = fy * cam[:, 1] / depth + cy
-    u = np.floor(u_cont).astype(np.int64)
-    v = np.floor(v_cont).astype(np.int64)
-    visible &= (u >= 0) & (u < width) & (v >= 0) & (v < height)
+    u, v, u_cont, v_cont, depth, visible = pinhole(centers, proj, width, height)
 
     if not visible.any():
         raise NoVisibleVoxels("every voxel was culled during projection")

@@ -20,7 +20,7 @@ Both keep all collision entries; nothing is z-buffered away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,23 +35,19 @@ from .heads import ImageFeatureMap
 LOCAL_LOSS_MODES = ("depth_scaled", "collision_normalized")
 
 
-@dataclass(frozen=True)
-class TripletConfig:
-    margin: float = constants.TRIPLET_MARGIN
-    distance: str = "L2"  # or "L1"
-    zero_triplet_trigger: float = constants.ZERO_TRIPLET_TRIGGER
-    expansion_rate: float = constants.BATCH_EXPANSION_RATE
-    max_batch: int = constants.MAX_BATCH_SIZE
+def pairwise_l2(values: np.ndarray) -> np.ndarray:
+    """Pairwise L2 distances between rows (plain numpy, no gradients)."""
+    diff = values[:, None, :] - values[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
 
-    def __post_init__(self):
-        if self.margin <= 0.0:
-            raise ValueError("margin must be positive")
-        if not 0.0 < self.zero_triplet_trigger < 1.0:
-            raise ValueError("trigger must be a fraction in (0, 1)")
-        if self.expansion_rate <= 1.0:
-            raise ValueError("expansion rate must exceed 1")
-        if self.distance not in ("L2", "L1"):
-            raise ValueError(f"unknown distance {self.distance!r}")
+
+def pair_masks(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, negative) (B, B) masks: samples within POSITIVE_THRESHOLD_M,
+    and beyond NEGATIVE_THRESHOLD_M, of each other; none pairs with itself."""
+    dists = pairwise_l2(positions)
+    off_diag = ~np.eye(dists.shape[0], dtype=bool)
+    return ((dists <= constants.POSITIVE_THRESHOLD_M) & off_diag,
+            (dists > constants.NEGATIVE_THRESHOLD_M) & off_diag)
 
 
 @dataclass
@@ -60,42 +56,26 @@ class TrainingBatch:
 
     descriptors: Tensor       # (B, D_g)
     positions: np.ndarray     # (B, 3) meters
-    positive_mask: np.ndarray = field(default=None)  # (B, B) bool, symmetric
-    negative_mask: np.ndarray = field(default=None)
+    positive_mask: np.ndarray  # (B, B) bool, symmetric
+    negative_mask: np.ndarray
 
     @classmethod
     def from_positions(cls, descriptors: Tensor, positions: np.ndarray) -> "TrainingBatch":
         positions = np.asarray(positions, dtype=np.float64)
-        dists = np.sqrt(((positions[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2))
-        off_diag = ~np.eye(positions.shape[0], dtype=bool)
-        return cls(
-            descriptors=descriptors,
-            positions=positions,
-            positive_mask=(dists <= constants.POSITIVE_THRESHOLD_M) & off_diag,
-            negative_mask=(dists > constants.NEGATIVE_THRESHOLD_M) & off_diag,
-        )
+        return cls(descriptors, positions, *pair_masks(positions))
 
     @property
     def size(self) -> int:
         return self.positions.shape[0]
 
 
-def descriptor_distances(values: np.ndarray, metric: str) -> np.ndarray:
-    """Pairwise distance matrix used for mining (plain numpy, no gradients)."""
-    diff = values[:, None, :] - values[None, :, :]
-    if metric == "L2":
-        return np.sqrt((diff ** 2).sum(axis=2))
-    return np.abs(diff).sum(axis=2)
-
-
-def mine_hardest(batch: TrainingBatch, metric: str = "L2"
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hardest positive (max distance) / negative (min distance) per anchor.
+def mine_hardest(batch: TrainingBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Hardest positive (max L2 distance) / negative (min) per anchor.
 
     Ties break toward the lowest index. Raises if any anchor lacks a
     positive or a negative candidate.
     """
-    d = descriptor_distances(batch.descriptors.values, metric)
+    d = pairwise_l2(batch.descriptors.values)
     for a in range(batch.size):
         if not batch.positive_mask[a].any():
             raise NoPositive(f"anchor {a} has no positive")
@@ -114,35 +94,32 @@ class TripletResult:
     zero_triplets: int
 
 
-def triplet_loss_batch_hard(batch: TrainingBatch, cfg: TripletConfig) -> TripletResult:
-    """Sum over anchors of max(0, d(a,p*) - d(a,n*) + margin)."""
-    pos_idx, neg_idx = mine_hardest(batch, cfg.distance)
+def triplet_loss_batch_hard(batch: TrainingBatch) -> TripletResult:
+    """Sum over anchors of max(0, d(a,p*) - d(a,n*) + TRIPLET_MARGIN), L2."""
+    pos_idx, neg_idx = mine_hardest(batch)
     anchors = batch.descriptors
     idx = np.arange(batch.size)
     a = ad.gather_rows(anchors, idx)
     p = ad.gather_rows(anchors, pos_idx)
     n = ad.gather_rows(anchors, neg_idx)
-    if cfg.distance == "L2":
-        d_pos = ad.rownorm(ad.sub(a, p))
-        d_neg = ad.rownorm(ad.sub(a, n))
-    else:
-        d_pos = ad.tsum(ad.absolute(ad.sub(a, p)), axis=1)
-        d_neg = ad.tsum(ad.absolute(ad.sub(a, n)), axis=1)
-    hinge = ad.relu(ad.add_scalar(ad.sub(d_pos, d_neg), cfg.margin))
+    d_pos = ad.rownorm(ad.sub(a, p))
+    d_neg = ad.rownorm(ad.sub(a, n))
+    hinge = ad.relu(ad.add_scalar(ad.sub(d_pos, d_neg), constants.TRIPLET_MARGIN))
     loss = ad.tsum(hinge)
     zero = int(np.count_nonzero(hinge.values == 0.0))
     return TripletResult(loss=loss, hardest_positive=pos_idx,
                          hardest_negative=neg_idx, zero_triplets=zero)
 
 
-def zero_triplet_expansion(zero_count: int, batch_size: int,
-                           cfg: TripletConfig) -> int:
-    """Grow the batch when the zero-triplet fraction strictly exceeds the
-    trigger; growth is by the expansion rate, capped at max_batch."""
+def zero_triplet_expansion(zero_count: int, batch_size: int) -> int:
+    """Grow the batch when the zero-triplet fraction strictly exceeds
+    ZERO_TRIPLET_TRIGGER; growth is by BATCH_EXPANSION_RATE, capped at
+    MAX_BATCH_SIZE."""
     if not 0 <= zero_count <= batch_size:
         raise ValueError("zero_count must be within [0, batch_size]")
-    if zero_count / batch_size > cfg.zero_triplet_trigger:
-        return min(math.ceil(batch_size * cfg.expansion_rate), cfg.max_batch)
+    if zero_count / batch_size > constants.ZERO_TRIPLET_TRIGGER:
+        return min(math.ceil(batch_size * constants.BATCH_EXPANSION_RATE),
+                   constants.MAX_BATCH_SIZE)
     return batch_size
 
 

@@ -29,6 +29,8 @@ from .errors import (DimMismatch, Empty, InsufficientRuns, InvalidK,
 # Queries x database rows per block: 2 M float64 keys, 16 MiB per (B, N) array.
 _BLOCK_ELEMS = 1 << 21
 
+METRICS = ("L2", "L1")
+
 
 @dataclass(frozen=True)
 class EvalProtocol:
@@ -107,7 +109,7 @@ def build_index(descriptors: np.ndarray, ids: np.ndarray, positions: np.ndarray,
     positions = np.asarray(positions, dtype=np.float64)
     if ids.shape[0] != descriptors.shape[0] or positions.shape[0] != descriptors.shape[0]:
         raise DimMismatch("ids/positions length must match descriptor count")
-    if metric not in ("L2", "L1"):
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     _require_finite(descriptors, "index descriptors")
     _require_finite(positions, "index positions")

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, ProjectionModel, VoxelGridConfig, default_grid_config
+from .dataio import LoadedSample, TrainingSet
+from .geometry import (PointCloud, ProjectionModel, VoxelGridConfig, default_grid_config,
+                       pinhole)
 
 SCENE_SPACING_M = 60.0
 POSE_JITTER_CLIP_M = 4.0
@@ -90,32 +92,16 @@ def _sample_box_surfaces(boxes: np.ndarray, count: int,
 def render_inverse_depth_image(points: np.ndarray, proj: ProjectionModel,
                                width: int, height: int) -> np.ndarray:
     """Splat inverse depth onto a pixel grid; max inverse depth wins a pixel."""
-    rot = proj.extrinsic[:3, :3]
-    trans = proj.extrinsic[:3, 3]
-    cam = points @ rot.T + trans
-    depth = cam[:, 2]
-    vis = depth > 0.0
-    fx, fy, cx, cy = proj.intrinsics_for(width, height)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.floor(fx * cam[:, 0] / depth + cx).astype(np.int64)
-        v = np.floor(fy * cam[:, 1] / depth + cy).astype(np.int64)
-    vis &= (u >= 0) & (u < width) & (v >= 0) & (v < height)
+    u, v, _, _, depth, vis = pinhole(points, proj, width, height)
     image = np.zeros((height, width))
     np.maximum.at(image, (v[vis], u[vis]), 1.0 / depth[vis])
     return image
 
 
-@dataclass
-class SyntheticSample:
-    cloud: PointCloud
-    image: np.ndarray  # (H, W) inverse-depth splat
-    position: tuple[float, float, float]  # world coords for ground truth
-    projection: ProjectionModel
-
-
 def generate_synthetic_scene(params: SyntheticSceneParams, scene_seed: int,
-                             traversal: int = 0) -> SyntheticSample:
-    """One traversal of one scene, bitwise deterministic in all arguments."""
+                             traversal: int = 0) -> LoadedSample:
+    """One traversal of one scene, bitwise deterministic in all arguments: run
+    t<traversal> at traversal * 10000 + scene_seed * 20 s."""
     boxes = _scene_boxes(params, scene_seed)
     rng = np.random.default_rng(
         (params.seed * 1_000_003 + scene_seed) * 97 + traversal + 1)
@@ -132,32 +118,22 @@ def generate_synthetic_scene(params: SyntheticSceneParams, scene_seed: int,
                                        size=world_pts.shape)
     sensor_pts = world_pts - offset
 
-    proj = default_projection_model()
-    image = render_inverse_depth_image(sensor_pts, proj,
+    image = render_inverse_depth_image(sensor_pts, default_projection_model(),
                                        params.image_width, params.image_height)
     base = np.array([SCENE_SPACING_M * scene_seed, 0.0, 0.0])
     position = tuple(float(x) for x in base + offset)
     sample_id = f"s{scene_seed:04d}_t{traversal}"
-    return SyntheticSample(
-        cloud=PointCloud(sensor_pts, sample_id=sample_id),
-        image=image, position=position, projection=proj)
+    return LoadedSample(
+        sample_id=sample_id, timestamp_s=traversal * 10_000.0 + scene_seed * 20.0,
+        position=position, run_id=f"t{traversal}", image=image,
+        cloud=PointCloud(sensor_pts, sample_id=sample_id))
 
 
 def synthetic_training_set(params: SyntheticSceneParams, scene_seeds,
                            traversals: int = 2,
-                           voxel_config: VoxelGridConfig | None = None):
+                           voxel_config: VoxelGridConfig | None = None) -> TrainingSet:
     """In-memory dataset over the given scenes, one sample per traversal."""
-    from .dataio import LoadedSample, TrainingSet
-
-    samples = []
-    proj = default_projection_model()
-    for scene in scene_seeds:
-        for t in range(traversals):
-            s = generate_synthetic_scene(params, scene, t)
-            samples.append(LoadedSample(
-                sample_id=s.cloud.sample_id,
-                timestamp_s=t * 10_000.0 + scene * 20.0,
-                position=s.position, run_id=f"t{t}",
-                image=s.image, cloud=s.cloud))
-    return TrainingSet(samples=samples, projection=proj,
+    samples = [generate_synthetic_scene(params, scene, t)
+               for scene in scene_seeds for t in range(traversals)]
+    return TrainingSet(samples=samples, projection=default_projection_model(),
                        voxel_config=voxel_config or default_grid_config())

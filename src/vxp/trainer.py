@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import constants, heads, losses, sparse3d
+from . import heads, losses, sparse3d
 from .autodiff import Tape, Tensor
 # write_checkpoint is bound here for the benchmark's tracer (perfbench/spans.py)
 from .dataio import TrainingSet, write_checkpoint  # noqa: F401
@@ -37,7 +37,7 @@ from .errors import (AllPointsCulled, DegenerateDataset, EmptyCloud,
 from .geometry import (ProjectedFeatureMap, VoxelGrid, VoxelGridConfig,
                        default_grid_config, orthographic_project, project_voxels,
                        voxelize)
-from .losses import TrainingBatch, TripletConfig
+from .losses import LOCAL_LOSS_MODES, TrainingBatch
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +49,8 @@ ADAM_EPS = 1e-8
 # checkpoints and inference stay float64.
 TRAIN_DTYPE = np.float32
 
+PROJECTIONS = ("perspective", "orthographic")
+
 
 @dataclass
 class StageConfig:
@@ -58,8 +60,8 @@ class StageConfig:
     lr_decay: float = 0.9  # per-epoch multiplier is lr_decay ** epoch
     batch_size: int = 32
     seed: int = 0
-    local_loss_mode: str = "collision_normalized"
-    projection: str = "perspective"  # or "orthographic" (ablation)
+    local_loss_mode: str = "collision_normalized"  # one of LOCAL_LOSS_MODES
+    projection: str = "perspective"  # one of PROJECTIONS; orthographic is the ablation
     image_gain: float = 1.0
     augment_shift_px: int = 0  # stage 1 only: random +-px translations
     conv_channels: tuple[int, ...] | None = None  # default: (feature_dim, feature_dim)
@@ -73,8 +75,10 @@ class StageConfig:
             raise ValueError(f"unknown stage {self.stage!r}")
         if self.epochs < 1 or self.base_lr <= 0:
             raise ValueError("epochs >= 1 and base_lr > 0 required")
-        if self.projection not in ("perspective", "orthographic"):
+        if self.projection not in PROJECTIONS:
             raise ValueError(f"unknown projection {self.projection!r}")
+        if self.local_loss_mode not in LOCAL_LOSS_MODES:
+            raise ValueError(f"unknown local loss mode {self.local_loss_mode!r}")
 
 
 def lr_schedule(epoch: int, base_lr: float, decay: float = 0.9) -> float:
@@ -264,15 +268,10 @@ def _pair_batches(dataset: TrainingSet, batch_size: int,
     Guarantees a positive pair per anchor; invalid trailing batches (no
     negatives in reach) fold into their predecessor.
     """
-    positions = np.asarray([s.position for s in dataset.samples])
-    n = len(dataset.samples)
-    dists = np.sqrt(((positions[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2))
-    pos_lists = []
-    for a in range(n):
-        cands = np.nonzero((dists[a] <= constants.POSITIVE_THRESHOLD_M)
-                           & (np.arange(n) != a))[0]
-        pos_lists.append(cands)
-    anchors = [a for a in range(n) if len(pos_lists[a])]
+    positive, negative = losses.pair_masks(
+        np.asarray([s.position for s in dataset.samples]))
+    pos_lists = [np.nonzero(row)[0] for row in positive]
+    anchors = [a for a, cands in enumerate(pos_lists) if len(cands)]
     if not anchors:
         raise DegenerateDataset("no sample has a positive partner")
 
@@ -288,8 +287,7 @@ def _pair_batches(dataset: TrainingSet, batch_size: int,
 
     def valid(batch_pairs):
         rows = [i for pair in batch_pairs for i in pair]
-        sub = dists[np.ix_(rows, rows)]
-        return bool(np.all((sub > constants.NEGATIVE_THRESHOLD_M).any(axis=1)))
+        return bool(np.all(negative[np.ix_(rows, rows)].any(axis=1)))
 
     out: list[list[int]] = []
     for batch_pairs in batches:
@@ -323,15 +321,13 @@ def train_stage_image(dataset: TrainingSet, cfg: StageConfig) -> StageResult:
 def _fit_image_branch(dataset: TrainingSet, cfg: StageConfig
                       ) -> tuple[dict[str, Tensor], list[tuple[int, int, float]]]:
     rng = np.random.default_rng(cfg.seed)
-    triplet = TripletConfig()
     params = init_image_params(cfg, rng)
     set_requires_grad(params, "image.", True)
     params["image.encoder.input_gain"].requires_grad = False
     encoder, head = image_branch_from(params)
     state = AdamState(params)
 
-    images = np.stack([s.image[..., None] if s.image.ndim == 2 else s.image
-                       for s in dataset.samples])
+    images = np.stack([s.image for s in dataset.samples])[..., None]
     positions = np.asarray([s.position for s in dataset.samples])
 
     history: list[tuple[int, int, float]] = []
@@ -353,13 +349,12 @@ def _fit_image_branch(dataset: TrainingSet, cfg: StageConfig
             with Tape() as tape:
                 desc = heads.encode_images(batch_images, encoder, head)
                 batch = TrainingBatch.from_positions(desc, positions[rows])
-                result = losses.triplet_loss_batch_hard(batch, triplet)
+                result = losses.triplet_loss_batch_hard(batch)
                 tape.backward(result.loss)
             adam_step(params, state, lr)
             history.append((epoch, step, float(result.loss.values)))
             step += 1
-            new_size = losses.zero_triplet_expansion(result.zero_triplets,
-                                                     len(rows), triplet)
+            new_size = losses.zero_triplet_expansion(result.zero_triplets, len(rows))
             triggered = max(triggered, new_size)
         if triggered != batch_size:
             log.info("zero-triplet expansion: batch %d -> %d", batch_size, triggered)
@@ -381,12 +376,10 @@ class _PreparedSample:
 def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
                            backbone: sparse3d.BackboneParams,
                            encoder: heads.ImageEncoderParams,
-                           image_head: heads.GemFcnParams,
-                           with_head: bool) -> tuple[list[_PreparedSample], int]:
-    """Voxelize, plan convolutions and cache the frozen image target per sample.
-
-    Returns the usable samples in dataset order and the count skipped.
-    """
+                           image_head: heads.GemFcnParams
+                           ) -> tuple[list[_PreparedSample], int]:
+    """Voxelize, plan convolutions and cache the frozen image target per
+    sample; returns the usable samples in dataset order and the count skipped."""
     prepared: list[_PreparedSample] = []
     for s in dataset.samples:
         try:
@@ -395,7 +388,7 @@ def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
         except (EmptyCloud, AllPointsCulled):
             continue
         plans = sparse3d.plan_backbone(grid, backbone)
-        if with_head:
+        if cfg.stage == "global":
             target = heads.image_global_descriptor(s.image, encoder, image_head).vector
         else:
             fmap = heads.image_encode(s.image, encoder)
@@ -428,50 +421,42 @@ def _checkpoint_params(params: dict[str, Tensor], prefix: str = "") -> dict[str,
         return _clone_params(params, prefix)
 
 
-def _point_branch_stage(dataset: TrainingSet, image_params: dict[str, Tensor],
-                        cfg: StageConfig, with_head: bool,
-                        resume_params: dict[str, Tensor] | None = None) -> StageResult:
-    require_groups(image_params, ["image."], cfg.stage)
+def _point_branch_stage(dataset: TrainingSet, given: dict[str, Tensor],
+                        cfg: StageConfig) -> StageResult:
+    """Stage 2 or 3, by cfg.stage, from the given image branch (and, for
+    stage 3, the local-stage backbone)."""
+    require_groups(given, ["image."], cfg.stage)
     with ad.precision(TRAIN_DTYPE):
-        params, history, skipped = _fit_point_branch(dataset, image_params, cfg,
-                                                     with_head, resume_params)
+        params, history, skipped = _fit_point_branch(dataset, given, cfg)
     # the frozen image branch goes back exactly as given, not via float32
-    out = _checkpoint_params(image_params, "image.")
+    out = _checkpoint_params(given, "image.")
     out.update(_checkpoint_params(params, "pc."))
     return StageResult(params=out, history=history, skipped_pairs=skipped)
 
 
-def _fit_point_branch(dataset: TrainingSet, image_params: dict[str, Tensor],
-                      cfg: StageConfig, with_head: bool,
-                      resume_params: dict[str, Tensor] | None
+def _fit_point_branch(dataset: TrainingSet, given: dict[str, Tensor], cfg: StageConfig
                       ) -> tuple[dict[str, Tensor], list[tuple[int, int, float]], int]:
     rng = np.random.default_rng(cfg.seed)
-    params = _clone_params(image_params, "image.")
+    params = _clone_params(given, "image.")
     set_requires_grad(params, "image.", False)
     encoder, image_head = image_branch_from(params)
 
-    if resume_params is not None and any(k.startswith("pc.backbone.") for k in resume_params):
-        params.update(_clone_params(resume_params, "pc.backbone."))
+    head = None
+    if cfg.stage == "global":
+        params.update(_clone_params(given, "pc.backbone."))
         backbone = backbone_from(params)
+        head = copy_image_head_into(params)
+        set_requires_grad(params, "pc.head.", True)
     else:
-        if cfg.stage == "global":
-            raise DegenerateDataset(
-                "stage 'global' needs the local-stage backbone checkpoint")
         backbone = init_backbone_into(params, cfg, rng, dataset.voxel_config)
     set_requires_grad(params, "pc.backbone.", True)
     for i in range(len(backbone.layers)):
         params[f"pc.backbone.conv{i}.meta"].requires_grad = False
 
-    head = None
-    if with_head:
-        head = copy_image_head_into(params)
-        set_requires_grad(params, "pc.head.", True)
-
     trainable = {name: t for name, t in params.items() if t.requires_grad}
     state = AdamState(trainable)
 
-    prepared, skipped = _prepare_point_samples(
-        dataset, cfg, backbone, encoder, image_head, with_head)
+    prepared, skipped = _prepare_point_samples(dataset, cfg, backbone, encoder, image_head)
     if skipped > 0:
         log.info("stage %s: skipped %d unusable pairs", cfg.stage, skipped)
     if skipped > len(dataset.samples) / 2:
@@ -491,7 +476,7 @@ def _fit_point_branch(dataset: TrainingSet, image_params: dict[str, Tensor],
                 for k in order[start:start + cfg.batch_size]:
                     prep = prepared[k]
                     fmap = sparse3d.point_cloud_backbone(prep.grid, backbone, prep.plans)
-                    if with_head:
+                    if cfg.stage == "global":
                         pooled = heads.gem_pool(fmap.feats, head.p)
                         desc = heads.fcn_project(pooled, head, "point_cloud")
                         term = losses.global_descriptor_loss(prep.target, desc.vector)
@@ -512,7 +497,7 @@ def train_stage_local(dataset: TrainingSet, image_params: dict[str, Tensor],
     """Train the voxel backbone against frozen image feature maps."""
     if cfg.stage != "local":
         raise ValueError("config stage must be 'local'")
-    return _point_branch_stage(dataset, image_params, cfg, with_head=False)
+    return _point_branch_stage(dataset, image_params, cfg)
 
 
 def train_stage_global(dataset: TrainingSet, image_params: dict[str, Tensor],
@@ -522,6 +507,7 @@ def train_stage_global(dataset: TrainingSet, image_params: dict[str, Tensor],
     if cfg.stage != "global":
         raise ValueError("config stage must be 'global'")
     require_groups(local_params, ["pc.backbone."], cfg.stage)
-    return _point_branch_stage(dataset, image_params, cfg, with_head=True,
-                               resume_params=local_params)
+    given = {n: t for n, t in image_params.items() if n.startswith("image.")}
+    given.update((n, t) for n, t in local_params.items() if n.startswith("pc.backbone."))
+    return _point_branch_stage(dataset, given, cfg)
 

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from harness import ExperimentConfig, run_experiment, recall_between
 from vxp import autodiff as ad
-from vxp import dataio, heads, losses, retrieval, sparse3d, trainer
+from vxp import constants, dataio, heads, losses, retrieval, sparse3d, trainer
 from vxp.autodiff import Tensor
 from vxp.errors import (BadMagic, DuplicateId, HeaderMismatch, MalformedFile,
                         NoVisibleVoxels, TruncatedFile)
@@ -147,16 +147,15 @@ def _triplet_points(seed_base):
     """Yield non-kink triplet-loss check functions."""
     produced = 0
     seed = seed_base
-    cfg = losses.TripletConfig()
     while produced < 100:
         seed += 1
         rng = np.random.default_rng(seed)
         batch = _clustered_batch(rng)
-        res = losses.triplet_loss_batch_hard(batch, cfg)
-        d = losses.descriptor_distances(batch.descriptors.values, "L2")
+        res = losses.triplet_loss_batch_hard(batch)
+        d = losses.pairwise_l2(batch.descriptors.values)
         n = batch.size
         hinges = (d[np.arange(n), res.hardest_positive]
-                  - d[np.arange(n), res.hardest_negative] + cfg.margin)
+                  - d[np.arange(n), res.hardest_negative] + constants.TRIPLET_MARGIN)
         if np.any(np.abs(hinges) < 2e-3):
             continue
         gaps = []
@@ -170,19 +169,19 @@ def _triplet_points(seed_base):
         if gaps and min(gaps) < 2e-3:
             continue
         produced += 1
-        yield batch, cfg
+        yield batch
 
 
 def test_criterion_3_gradient_suite():
     results = {}
 
     worst = 0.0
-    for batch, cfg in _triplet_points(50_000):
-        def f(t, b=batch, c=cfg):
+    for batch in _triplet_points(50_000):
+        def f(t, b=batch):
             probe = losses.TrainingBatch(descriptors=t, positions=b.positions,
                                          positive_mask=b.positive_mask,
                                          negative_mask=b.negative_mask)
-            return losses.triplet_loss_batch_hard(probe, c).loss
+            return losses.triplet_loss_batch_hard(probe).loss
         worst = max(worst, ad.check_gradient(f, batch.descriptors))
     results["triplet"] = worst
 
@@ -305,7 +304,6 @@ def test_criterion_4_mining_and_expansion():
         assert np.array_equal(got_n, want_n)
         checked += 1
 
-    cfg = losses.TripletConfig()
     # hand-checked: trigger is strict (> 30%), growth x1.4 with ceiling, cap 256
     table = [
         (20, 64, 90), (19, 64, 64), (100, 200, 256), (0, 10, 10), (10, 10, 14),
@@ -315,9 +313,9 @@ def test_criterion_4_mining_and_expansion():
     ]
     assert len(table) == 20
     for zero, size, expected in table:
-        got = losses.zero_triplet_expansion(zero, size, cfg)
+        got = losses.zero_triplet_expansion(zero, size)
         assert got == expected, (zero, size, got, expected)
-        assert got <= cfg.max_batch
+        assert got <= constants.MAX_BATCH_SIZE
     _report(4, "mining matches exhaustive oracle on 200 batches; expansion "
                "table of 20 cases incl. 19/64 no-trigger and 200->256 cap")
 

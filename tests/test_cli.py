@@ -83,6 +83,33 @@ def test_config_value_that_fails_its_cast_is_located(tmp_path, capsys):
     assert "run.cfg:2: epochs: 'abc' is not a valid int" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,argv,allowed", [
+    ("projection", ["train", "--stage", "image"], "perspective, orthographic"),
+    ("local_loss_mode", ["train", "--stage", "image"],
+     "depth_scaled, collision_normalized"),
+    ("metric", ["eval", "--query", "q.vxpd", "--db", "db.vxpd", "--query-manifest",
+                "q.csv", "--db-manifest", "db.csv"], "L2, L1"),
+])
+def test_config_value_outside_its_choices_is_located(tmp_path, capsys, key, argv, allowed):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=1\n{key}=foo\n")
+    if argv[0] == "train":
+        argv = argv + ["--manifest", "m.csv", "--calib", "c.vxpcal"]
+    code = run(argv + ["--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 1
+    assert f"run.cfg:2: {key}: 'foo' is not one of {allowed}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["index", "plot"])
+@pytest.mark.parametrize("flag", [["--config", "run.cfg"], ["--print-config"]])
+def test_index_and_plot_take_no_config_flags(tmp_path, command, flag):
+    io_flag = "--db" if command == "index" else "--in"
+    with pytest.raises(SystemExit) as exc:
+        run([command, io_flag, "x", "--out", str(tmp_path / "o"), *flag])
+    assert exc.value.code == 2
+
+
 def test_bad_vxp_seed_is_located(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VXP_SEED", "7x")
     assert run(["synth", "--scenes", "1", "--out", str(tmp_path / "d")]) == 1

@@ -181,7 +181,65 @@ class TestManifest:
             dataio.parse_manifest(p)
 
 
+    def test_ordinary_rows_written_unquoted(self, tmp_path):
+        p = tmp_path / "m.csv"
+        dataio.write_manifest(p, self.rows(2))
+        assert p.read_bytes() == (
+            b"id,timestamp_s,x_m,y_m,z_m,cloud_path,image_path,run_id\n"
+            b"s0,0.0,0.0,0.0,0.0,clouds/s0.bin,images/s0.img,t0\n"
+            b"s1,1.0,5.0,0.0,0.0,clouds/s1.bin,images/s1.img,t0\n")
+
+    @pytest.mark.parametrize("sample_id", ["a,b", 'say "hi"', "two\nlines"])
+    def test_written_ids_read_back(self, tmp_path, sample_id):
+        p = tmp_path / "m.csv"
+        rows = self.rows(2)
+        rows[0].sample_id = sample_id
+        dataio.write_manifest(p, rows)
+        assert [r.sample_id for r in dataio.parse_manifest(p)] == [sample_id, "s1"]
+
+    def test_oversized_field_is_parse_error_with_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        dataio.write_manifest(p, self.rows(2))
+        p.write_text(p.read_text() + "x" * 200_000 + ",0,0,0,0,a,b,t0\n")
+        with pytest.raises(ParseError, match="m.csv:4: .*field larger"):
+            dataio.parse_manifest(p)
+
+    def test_record_spanning_lines_keeps_later_line_numbers(self, tmp_path):
+        p = tmp_path / "m.csv"
+        dataio.write_manifest(p, self.rows(1))
+        p.write_text(p.read_text() + '"s\n1",1,0,0,0,a,b,t0\n'
+                     + "s2,notafloat,0,0,0,a,b,t0\n")
+        with pytest.raises(ParseError, match="m.csv:5: bad float"):
+            dataio.parse_manifest(p)
+
+
+def test_training_set_round_trip(tmp_path):
+    params = synthetic.SyntheticSceneParams(points_per_cloud=64, image_width=16,
+                                            image_height=12, seed=2)
+    written = synthetic.synthetic_training_set(params, [0, 3], traversals=2)
+    dataio.write_training_set(tmp_path / "set", written)
+    back = dataio.load_training_set(tmp_path / "set" / "manifest.csv",
+                                    tmp_path / "set" / "calib.vxpcal")
+    assert len(back.samples) == len(written.samples) == 4
+    for w, b in zip(written.samples, back.samples):
+        assert (b.sample_id, b.timestamp_s, b.position, b.run_id) == \
+            (w.sample_id, w.timestamp_s, w.position, w.run_id)
+        assert b.cloud.sample_id == w.sample_id
+        f32 = lambda a: a.astype(np.float32).astype(np.float64)  # noqa: E731
+        assert np.array_equal(b.cloud.points, f32(w.cloud.points))
+        assert np.array_equal(b.image, f32(w.image))
+    for name in ("fx_n", "fy_n", "cx_n", "cy_n"):
+        assert getattr(back.projection, name) == getattr(written.projection, name)
+    assert np.array_equal(back.projection.extrinsic, written.projection.extrinsic)
+
+
 class TestDescriptorFile:
+    def test_dim_beyond_numpy_record_size_is_malformed(self, tmp_path):
+        p = tmp_path / "d.vxpd"
+        p.write_bytes(dataio.VXPD_MAGIC + struct.pack("<HII", 1, 2 ** 30, 0))
+        with pytest.raises(MalformedFile, match="descriptor_dim is 1073741824"):
+            dataio.read_descriptors(p)
+
     def test_header_only(self, tmp_path):
         p = tmp_path / "d.vxpd"
         dataio.write_descriptors(p, np.zeros(0, dtype=np.uint64), np.zeros((0, 4)))
@@ -343,6 +401,14 @@ class TestCheckpointFile:
         with pytest.raises(TruncatedFile, match="values cut short in 'a'"):
             dataio.read_checkpoint(p)
 
+    def test_empty_tensor_with_overflowing_extents_is_malformed(self, tmp_path):
+        # 0 x 2^31 x 2^31 holds no value, yet numpy refuses its shape
+        p = tmp_path / "c.vxpc"
+        p.write_bytes(dataio.VXPC_MAGIC + struct.pack("<HH", 1, 1) + b"a"
+                      + struct.pack("<B3I", 3, 0, 2 ** 31, 2 ** 31))
+        with pytest.raises(MalformedFile, match="'a' extents .* too large"):
+            dataio.read_checkpoint(p)
+
     def test_rank_beyond_numpy_is_malformed(self, tmp_path):
         p = tmp_path / "c.vxpc"
         p.write_bytes(dataio.VXPC_MAGIC + struct.pack("<HH", 1, 1) + b"a"
@@ -376,7 +442,7 @@ class TestSyntheticScenes:
     def test_nonzero_pixels_have_in_frustum_points(self):
         params = synthetic.SyntheticSceneParams(seed=1)
         sample = synthetic.generate_synthetic_scene(params, 2)
-        proj = sample.projection
+        proj = synthetic.default_projection_model()
         rot = proj.extrinsic[:3, :3]
         cam = sample.cloud.points @ rot.T + proj.extrinsic[:3, 3]
         depth = cam[:, 2]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from vxp import constants, losses, protocols, retrieval
+from vxp import constants, protocols, retrieval
 from vxp.errors import DriftDetected
 from vxp.geometry import default_grid_config
 
@@ -44,11 +44,10 @@ def test_summaries_rendered_from_constants(monkeypatch, name, value, text):
 
 
 def test_constants_agree_with_code_defaults():
-    cfg = losses.TripletConfig()
-    assert cfg.margin == constants.TRIPLET_MARGIN == 0.3
-    assert cfg.expansion_rate == constants.BATCH_EXPANSION_RATE == 1.4
-    assert cfg.max_batch == constants.MAX_BATCH_SIZE == 256
-    assert cfg.zero_triplet_trigger == constants.ZERO_TRIPLET_TRIGGER == 0.30
+    assert constants.TRIPLET_MARGIN == 0.3
+    assert constants.BATCH_EXPANSION_RATE == 1.4
+    assert constants.MAX_BATCH_SIZE == 256
+    assert constants.ZERO_TRIPLET_TRIGGER == 0.30
 
     proto = retrieval.EvalProtocol()
     assert proto.success_radius_m == constants.EVAL_SUCCESS_RADIUS_M == 25.0

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import brute_force_mining
 from vxp import autodiff as ad
-from vxp import losses
+from vxp import constants, losses
 from vxp.autodiff import Tensor
 from vxp.errors import (NoCorrespondences, NoNegative, NonPositiveBeta, NoPositive,
                         ShapeMismatch)
@@ -93,7 +93,7 @@ class TestMining:
         with pytest.raises(NoNegative):
             losses.mine_hardest(near)
 
-    @pytest.mark.parametrize("metric", ["L2", "L1"])
+    @pytest.mark.parametrize("metric", ["L2"])
     def test_matches_exhaustive_oracle(self, metric):
         for seed in range(50):
             rng = np.random.default_rng(seed)
@@ -102,7 +102,7 @@ class TestMining:
             if not (batch.positive_mask.any(axis=1).all()
                     and batch.negative_mask.any(axis=1).all()):
                 continue
-            got_p, got_n = losses.mine_hardest(batch, metric)
+            got_p, got_n = losses.mine_hardest(batch)
             want_p, want_n = brute_force_mining(batch.descriptors.values,
                                                 batch.positive_mask,
                                                 batch.negative_mask, metric)
@@ -120,24 +120,23 @@ class TestTripletLoss:
     def test_margin_satisfied_gives_zero_term(self):
         # anchor 0: d(a,p)=1.0, d(a,n)=1.5 -> hinge(1.0 - 1.5 + 0.3) = 0
         batch = self.two_cluster_batch([[0.0], [1.0], [1.5], [9.0]])
-        cfg = losses.TripletConfig(margin=0.3)
-        res = losses.triplet_loss_batch_hard(batch, cfg)
-        d = losses.descriptor_distances(batch.descriptors.values, "L2")
+        res = losses.triplet_loss_batch_hard(batch)
+        d = losses.pairwise_l2(batch.descriptors.values)
         term0 = max(0.0, d[0, res.hardest_positive[0]] - d[0, res.hardest_negative[0]] + 0.3)
         assert term0 == 0.0
 
     def test_hinge_arithmetic(self):
         # anchor 0: d(a,p)=1.0, d(a,n)=1.1 -> hinge = 0.2
         batch = self.two_cluster_batch([[0.0], [1.0], [1.1], [9.0]])
-        res = losses.triplet_loss_batch_hard(batch, losses.TripletConfig(margin=0.3))
-        d = losses.descriptor_distances(batch.descriptors.values, "L2")
+        res = losses.triplet_loss_batch_hard(batch)
+        d = losses.pairwise_l2(batch.descriptors.values)
         term0 = max(0.0, d[0, res.hardest_positive[0]] - d[0, res.hardest_negative[0]] + 0.3)
         assert term0 == pytest.approx(0.2)
 
     def test_loss_nonnegative_and_zero_triplets_counted(self):
         rng = np.random.default_rng(5)
         batch = batch_from(rng, 8)
-        res = losses.triplet_loss_batch_hard(batch, losses.TripletConfig())
+        res = losses.triplet_loss_batch_hard(batch)
         assert res.loss.values >= 0.0
         assert 0 <= res.zero_triplets <= 8
 
@@ -146,12 +145,11 @@ class TestTripletLoss:
         for seed in range(200):
             rng = np.random.default_rng(1000 + seed)
             batch = batch_from(rng, 6, dim=3)
-            cfg = losses.TripletConfig()
-            res = losses.triplet_loss_batch_hard(batch, cfg)
+            res = losses.triplet_loss_batch_hard(batch)
             # skip batches where FD could flip mining or cross the hinge
-            d = losses.descriptor_distances(batch.descriptors.values, "L2")
+            d = losses.pairwise_l2(batch.descriptors.values)
             hinges = (d[np.arange(6), res.hardest_positive]
-                      - d[np.arange(6), res.hardest_negative] + cfg.margin)
+                      - d[np.arange(6), res.hardest_negative] + constants.TRIPLET_MARGIN)
             if np.any(np.abs(hinges) < 1e-3):
                 continue
             gaps = []
@@ -170,7 +168,7 @@ class TestTripletLoss:
                     descriptors=t, positions=batch.positions,
                     positive_mask=batch.positive_mask,
                     negative_mask=batch.negative_mask)
-                return losses.triplet_loss_batch_hard(probe, cfg).loss
+                return losses.triplet_loss_batch_hard(probe).loss
 
             assert ad.check_gradient(f, batch.descriptors) < 1e-4
             checked += 1
@@ -181,19 +179,16 @@ class TestTripletLoss:
 
 class TestExpansion:
     def test_trigger_cases(self):
-        cfg = losses.TripletConfig()
-        assert losses.zero_triplet_expansion(20, 64, cfg) == 90   # 31.25% -> ceil(89.6)
-        assert losses.zero_triplet_expansion(19, 64, cfg) == 64   # 29.7%, strict >
-        assert losses.zero_triplet_expansion(100, 200, cfg) == 256  # min(280, 256)
+        assert losses.zero_triplet_expansion(20, 64) == 90   # 31.25% -> ceil(89.6)
+        assert losses.zero_triplet_expansion(19, 64) == 64   # 29.7%, strict >
+        assert losses.zero_triplet_expansion(100, 200) == 256  # min(280, 256)
 
     def test_fixed_point_at_cap(self):
-        cfg = losses.TripletConfig()
-        assert losses.zero_triplet_expansion(256, 256, cfg) == 256
+        assert losses.zero_triplet_expansion(256, 256) == 256
 
     def test_never_exceeds_cap(self):
-        cfg = losses.TripletConfig()
         for b in range(1, 300):
-            assert losses.zero_triplet_expansion(b, b, cfg) <= cfg.max_batch
+            assert losses.zero_triplet_expansion(b, b) <= constants.MAX_BATCH_SIZE
 
 
 class TestLocalLoss:

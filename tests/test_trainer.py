@@ -83,6 +83,12 @@ class TestLrSchedule:
             assert trainer.lr_schedule(e, 0.5, decay=1.0) == 0.5
 
 
+@pytest.mark.parametrize("field", ["projection", "local_loss_mode"])
+def test_stage_config_rejects_an_unknown_choice(field):
+    with pytest.raises(ValueError, match=f"unknown .*'foo'"):
+        small_cfg("image", **{field: "foo"})
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset():
     return synthetic_training_set(SCENE, scene_seeds=range(6), traversals=2,
