@@ -34,14 +34,14 @@ _STAGE_OPTIONS = {
 }
 _DEFAULTS = {key: getattr(StageConfig, name) for key, (name, _) in _STAGE_OPTIONS.items()}
 _DEFAULTS.update(traversals=2, radius=retrieval.EvalProtocol.success_radius_m,
-                 metric="L2", recall="1,1pct")
+                 recall="1,1pct")
 # option key -> allowed values, for the flag and the config file alike
-_CHOICES = {"local_loss_mode": losses.LOCAL_LOSS_MODES, "projection": trainer.PROJECTIONS,
-            "metric": retrieval.METRICS}
+_CHOICES = {"local_loss_mode": losses.LOCAL_LOSS_MODES, "projection": trainer.PROJECTIONS}
 
 
 def _read_config_file(path: str | None) -> dict[str, tuple[str, str]]:
-    """key -> (where, value), where is `path:line`."""
+    """key -> (where, value), where is `path:line`. A key that no subcommand
+    reads is an error; one file may serve every subcommand."""
     if not path:
         return {}
     values = {}
@@ -52,7 +52,10 @@ def _read_config_file(path: str | None) -> dict[str, tuple[str, str]]:
         key, sep, value = line.partition("=")
         if not sep:
             raise VxpError(f"{path}:{lineno}: expected key=value")
-        values[key.strip()] = (f"{path}:{lineno}", value.strip())
+        key = key.strip()
+        if key not in _DEFAULTS:
+            raise VxpError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = (f"{path}:{lineno}", value.strip())
     return values
 
 
@@ -221,7 +224,6 @@ def _parse_recall_spec(spec: str, protocol: str) -> tuple[list[int], bool, bool]
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _Resolved(args)
     radius = cfg.get("radius", float)
-    metric = cfg.get("metric")
     recall_spec = cfg.get("recall")
     cfg.print_if_requested()
     ks, one_percent, curve = _parse_recall_spec(recall_spec, args.protocol)
@@ -230,8 +232,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     db_ids, db_descs = dataio.read_descriptors(args.db)
     q_rows = dataio.parse_manifest(args.query_manifest)
     db_rows = dataio.parse_manifest(args.db_manifest)
-    protocol = retrieval.EvalProtocol(success_radius_m=radius,
-                                      k_list=tuple(ks) or (1,),
+    protocol = retrieval.EvalProtocol(success_radius_m=radius, k_list=tuple(ks),
                                       one_percent=one_percent)
 
     queries = _located(q_ids, q_descs, q_rows, "query")
@@ -247,19 +248,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for q_sel, db_sel in selections:
         db = database.take(db_sel)
         runs.append((queries.take(q_sel), retrieval.build_index(
-            db.descriptors, db.ids, db.positions, db.timestamps, metric)))
+            db.descriptors, db.ids, db.positions, db.timestamps)))
 
-    results: list[tuple[str, str, float]] = []
     if args.protocol == "plain":
         plain_queries, index = runs[0]
-        one_pct_k = retrieval.one_percent_k(index.size)
+        metric_ks = retrieval.protocol_ks(protocol, index.size)
         curve_k = min(constants.RECALL_CURVE_MAX_K, index.size) if curve else 1
         ranks = retrieval.first_match_ranks(  # one ranking pass for every metric
-            plain_queries, index, radius, max([*ks, one_pct_k if one_percent else 1, curve_k]))
-        for k in ks:
-            results.append(("plain", str(k), retrieval.recall_from_ranks(ranks, k)))
-        if one_percent:
-            results.append(("plain", "1pct", retrieval.recall_from_ranks(ranks, one_pct_k)))
+            plain_queries, index, radius, max([*metric_ks.values(), curve_k]))
+        out = {name: retrieval.recall_from_ranks(ranks, k) for name, k in metric_ks.items()}
         if curve:
             curve_rows = [(k, retrieval.recall_from_ranks(ranks, k))
                           for k in range(1, curve_k + 1)]
@@ -267,11 +264,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             retrieval.write_curve_csv(curve_path, curve_rows)
     elif args.protocol == "oxford":
         out = retrieval.oxford_pairwise_eval(runs, protocol)
-        results.extend(("oxford", k, v) for k, v in out.items())
     else:  # kitti
         out = retrieval.kitti_revisit_eval(*runs[0], protocol)
-        results.extend(("kitti", k, v) for k, v in out.items())
-
+    results = [(args.protocol, name, value) for name, value in out.items()]
     retrieval.write_results_csv(args.out, results)
     for name, k, value in results:
         print(f"{name} recall@{k}: {value:.4f}")
@@ -388,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("oxford", "kitti", "plain"), default="plain")
     p.add_argument("--recall")
     p.add_argument("--radius", type=float)
-    p.add_argument("--metric", choices=_CHOICES["metric"])
     p.add_argument("--out", required=True)
     p.add_argument("--curve-out", dest="curve_out")
     _add_common(p)

@@ -71,8 +71,8 @@ PROTOCOL_TABLE = [
      "grid dimensions of the sparse feature map after the conv stack"),
     ("max_points_per_voxel", MAX_POINTS_PER_VOXEL, "default",
      "voxels keep at most this many points; overflow is subsampled"),
-    ("smooth_l1_beta", SMOOTH_L1_BETA, "default",
-     "transition point between quadratic and linear branches"),
+    ("smooth_l1_beta", SMOOTH_L1_BETA, "protocol",
+     "transition point between quadratic and linear branches of every smooth-L1 loss"),
     ("image_downsample", IMAGE_DOWNSAMPLE, "protocol",
      "image encoder reduces H and W by exactly this factor (floor division)"),
 ]

@@ -209,13 +209,17 @@ def parse_manifest(path) -> list[SampleManifestRow]:
 
 
 def write_manifest(path, rows: list[SampleManifestRow]) -> None:
-    """Minimal CSV quoting: a field with a comma, quote or line feed is quoted."""
+    """Minimal CSV quoting: a field with a comma, quote or line feed is quoted.
+    csv leaves a carriage return bare, which the reader takes for a line end,
+    so a manifest with one in any field quotes every field."""
+    records = [[r.sample_id, repr(r.timestamp_s), repr(r.position[0]), repr(r.position[1]),
+                repr(r.position[2]), r.cloud_path, r.image_path, r.run_id] for r in rows]
+    quote_all = any("\r" in "".join(rec) for rec in records)
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
+        writer = csv.writer(f, lineterminator="\n",
+                            quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
         writer.writerow(MANIFEST_HEADER)
-        writer.writerows([r.sample_id, repr(r.timestamp_s), repr(r.position[0]),
-                          repr(r.position[1]), repr(r.position[2]),
-                          r.cloud_path, r.image_path, r.run_id] for r in rows)
+        writer.writerows(records)
 
 
 def load_training_set(manifest_path, calib_path,

@@ -65,10 +65,6 @@ class NonPositiveP(VxpError):
 
 # --- losses / mining ---
 
-class NonPositiveBeta(VxpError):
-    pass
-
-
 class NoPositive(VxpError):
     pass
 

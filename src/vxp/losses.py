@@ -27,8 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import constants
 from .autodiff import Tensor
-from .errors import (NoCorrespondences, NoNegative, NonPositiveBeta, NoPositive,
-                     ShapeMismatch)
+from .errors import NoCorrespondences, NoNegative, NoPositive, ShapeMismatch
 from .geometry import ProjectedFeatureMap
 from .heads import ImageFeatureMap
 
@@ -123,8 +122,10 @@ def zero_triplet_expansion(zero_count: int, batch_size: int) -> int:
     return batch_size
 
 
-def _huber_elements(x: Tensor, beta: float) -> Tensor:
-    """Elementwise smooth-L1: 0.5 x^2/beta below beta, |x| - beta/2 above."""
+def _huber_elements(x: Tensor) -> Tensor:
+    """Elementwise smooth-L1: 0.5 x^2/beta below beta, |x| - beta/2 above,
+    with beta = SMOOTH_L1_BETA."""
+    beta = constants.SMOOTH_L1_BETA
     absx = ad.absolute(x)
     quad_region = (absx.values < beta).astype(absx.values.dtype)
     quad = ad.smul(ad.mul(x, x), 0.5 / beta)
@@ -132,17 +133,14 @@ def _huber_elements(x: Tensor, beta: float) -> Tensor:
     return ad.add(ad.cmul(quad, quad_region), ad.cmul(lin, 1.0 - quad_region))
 
 
-def smooth_l1(x: Tensor, beta: float = constants.SMOOTH_L1_BETA) -> Tensor:
+def smooth_l1(x: Tensor) -> Tensor:
     """Smooth-L1 applied elementwise and summed over all elements."""
-    if beta <= 0.0:
-        raise NonPositiveBeta(f"beta must be positive, got {beta}")
-    return ad.tsum(_huber_elements(x, beta))
+    return ad.tsum(_huber_elements(x))
 
 
 def local_descriptor_loss(projected: ProjectedFeatureMap, voxel_feats: Tensor,
                           image_map: ImageFeatureMap,
-                          mode: str = "collision_normalized",
-                          beta: float = constants.SMOOTH_L1_BETA) -> Tensor:
+                          mode: str = "collision_normalized") -> Tensor:
     """Alignment loss between projected voxel descriptors and image features.
 
     Gradients reach every projected voxel in both modes, including all
@@ -150,8 +148,6 @@ def local_descriptor_loss(projected: ProjectedFeatureMap, voxel_feats: Tensor,
     """
     if mode not in LOCAL_LOSS_MODES:
         raise ValueError(f"unknown local loss mode {mode!r}")
-    if beta <= 0.0:
-        raise NonPositiveBeta(f"beta must be positive, got {beta}")
     if projected.num_entries == 0:
         raise NoCorrespondences("no projected entries")
     if projected.width != image_map.width or projected.height != image_map.height:
@@ -162,7 +158,7 @@ def local_descriptor_loss(projected: ProjectedFeatureMap, voxel_feats: Tensor,
 
     if mode == "depth_scaled":
         residual = ad.sub(ad.scale_rows(v_feats, projected.inverse_depth), i_feats)
-        return smooth_l1(residual, beta)
+        return smooth_l1(residual)
 
     # collision_normalized: convex per-pixel weights from inverse depths
     flat = projected.pixel_flat()
@@ -170,12 +166,11 @@ def local_descriptor_loss(projected: ProjectedFeatureMap, voxel_feats: Tensor,
     np.add.at(totals, flat, projected.inverse_depth)
     weights = projected.inverse_depth / totals[flat]
     residual = ad.sub(v_feats, i_feats)
-    return ad.tsum(ad.scale_rows(_huber_elements(residual, beta), weights))
+    return ad.tsum(ad.scale_rows(_huber_elements(residual), weights))
 
 
-def global_descriptor_loss(image_desc: Tensor, cloud_desc: Tensor,
-                           beta: float = constants.SMOOTH_L1_BETA) -> Tensor:
+def global_descriptor_loss(image_desc: Tensor, cloud_desc: Tensor) -> Tensor:
     """Smooth-L1 between matched global descriptors, summed over the batch."""
     if image_desc.shape != cloud_desc.shape:
         raise ShapeMismatch(f"{image_desc.shape} vs {cloud_desc.shape}")
-    return smooth_l1(ad.sub(image_desc, cloud_desc), beta)
+    return smooth_l1(ad.sub(image_desc, cloud_desc))

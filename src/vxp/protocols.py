@@ -55,14 +55,15 @@ queries with no in-radius database entry are excluded. recall@1% uses
 k = max(1, ceil(N/100)) for a database of N entries. Recall curves are
 emitted for k = 1..{curve_k}.
 
-**Exact search.** Rankings are exact: ids and distances equal a brute-force
-scan bit for bit, and equal distances rank by lowest id. L2 search first
-takes a shortlist from one matrix multiply, ||q||^2 + ||d||^2 - 2 q.d, keeping
-every candidate within twice a written rounding bound of the query's c-th
-smallest value, then re-ranks the shortlist with the exact distance. L1
-distances are exact from the start. Each query is ranked once per query set
-and database: every recall metric is read from the rank of its first
-in-radius candidate.
+**Exact search.** Descriptors are ranked by L2 distance, the space the
+triplet loss trains. Rankings are exact: ids and distances equal a
+brute-force scan bit for bit, and equal distances rank by lowest id. Search
+first takes a shortlist from one matrix multiply, ||q||^2 + ||d||^2 - 2 q.d,
+keeping every candidate within twice a written rounding bound of the query's
+c-th smallest value, then re-ranks the shortlist with the exact distance.
+Each query is ranked once per query set and database: every recall metric is
+read from the rank of its first in-radius candidate, and every protocol
+reports the same metric names for the same recall list.
 """
 
 

@@ -1,16 +1,18 @@
 """Descriptor indexing, exact nearest-neighbor search, recall protocols.
 
-Search is exact and runs over blocks of queries, so memory is bounded by the
-block size, not by queries x rows. L2 search takes a shortlist from one
+Descriptors are compared by L2 distance, the one space the triplet loss
+trains. Search is exact and runs over blocks of queries, so memory is bounded
+by the block size, not by queries x rows. It takes a shortlist from one
 matrix multiply, ||q||^2 + ||d||^2 - 2 q.d (||d||^2 cached per index), within a
-written rounding bound, then re-ranks it with the exact distance expression;
-L1 distances are exact in blocks. Ids and distances are bit-identical to a
-brute-force scan, ties resolve by lowest id, and the immutable index gives
-results independent of insertion order. Every recall metric reads one vector
-of first-match ranks per (query set, index). Protocols: plain recall@k /
-recall@1%, the pairwise multi-run evaluation (every ordered pair of distinct
-runs, averaged), and the revisit protocol (trajectory subsampling by traveled
-distance plus a minimum time gap between query and database candidates).
+written rounding bound, then re-ranks it with the exact distance expression.
+Ids and distances are bit-identical to a brute-force scan, ties resolve by
+lowest id, and the immutable index gives results independent of insertion
+order. Every recall metric reads one vector of first-match ranks per (query
+set, index), and `protocol_ks` names the metrics of every protocol.
+Protocols: plain recall@k / recall@1%, the pairwise multi-run evaluation
+(every ordered pair of distinct runs, averaged), and the revisit protocol
+(trajectory subsampling by traveled distance plus a minimum time gap between
+query and database candidates).
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .errors import (DimMismatch, Empty, InsufficientRuns, InvalidK,
 
 # Queries x database rows per block: 2 M float64 keys, 16 MiB per (B, N) array.
 _BLOCK_ELEMS = 1 << 21
-
-METRICS = ("L2", "L1")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class RetrievalIndex:
     ids: np.ndarray          # (N,) uint64
     positions: np.ndarray    # (N, 3) meters
     timestamps: np.ndarray | None = None  # (N,) seconds
-    metric: str = "L2"
 
     @property
     def size(self) -> int:
@@ -100,8 +99,7 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 
 def build_index(descriptors: np.ndarray, ids: np.ndarray, positions: np.ndarray,
-                timestamps: np.ndarray | None = None, metric: str = "L2",
-                ) -> RetrievalIndex:
+                timestamps: np.ndarray | None = None) -> RetrievalIndex:
     descriptors = np.asarray(descriptors, dtype=np.float64)
     if descriptors.ndim != 2 or descriptors.shape[0] == 0:
         raise Empty("index needs a non-empty (N, D) descriptor matrix")
@@ -109,8 +107,6 @@ def build_index(descriptors: np.ndarray, ids: np.ndarray, positions: np.ndarray,
     positions = np.asarray(positions, dtype=np.float64)
     if ids.shape[0] != descriptors.shape[0] or positions.shape[0] != descriptors.shape[0]:
         raise DimMismatch("ids/positions length must match descriptor count")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
     _require_finite(descriptors, "index descriptors")
     _require_finite(positions, "index positions")
     if timestamps is not None:
@@ -120,14 +116,11 @@ def build_index(descriptors: np.ndarray, ids: np.ndarray, positions: np.ndarray,
     ids.setflags(write=False)
     positions.setflags(write=False)
     return RetrievalIndex(descriptors=descriptors, ids=ids, positions=positions,
-                          timestamps=timestamps, metric=metric)
+                          timestamps=timestamps)
 
 
-def _distances(index_desc: np.ndarray, query: np.ndarray, metric: str) -> np.ndarray:
-    diff = index_desc - query
-    if metric == "L2":
-        return np.sqrt((diff ** 2).sum(axis=1))
-    return np.abs(diff).sum(axis=1)
+def _distances(index_desc: np.ndarray, query: np.ndarray) -> np.ndarray:
+    return np.sqrt(((index_desc - query) ** 2).sum(axis=1))
 
 
 def _within(positions: np.ndarray, query_positions: np.ndarray,
@@ -147,25 +140,21 @@ def _shortlist(index: RetrievalIndex, queries: np.ndarray, cap: int,
     """Candidates that may rank in each query's exact top min(cap, candidates).
 
     Returns row-major (query, row) pairs, their keys and each query's slack.
-    L2 keys are ||q||^2 + ||d||^2 - 2 q.d. With u = 2^-53 and S = ||q||^2 +
+    Keys are ||q||^2 + ||d||^2 - 2 q.d. With u = 2^-53 and S = ||q||^2 +
     max ||d||^2, the norms, dot product and adds put a key within 2(D + 3)uS
     of the exact squared distance, and the exact expression's subtractions,
     squares and sum put its computed square within another 2(D + 3)uS; 8uS
     more keeps a strictly larger square strictly larger after the rounded
     sqrt. The slack is twice the sum of these, and keeping every key within
-    2 * slack of the c-th smallest keeps every row of the exact top c. L1 keys
-    are the exact distances, with zero slack. mask is (B, N) or None.
+    2 * slack of the c-th smallest keeps every row of the exact top c. mask
+    is (B, N) or None.
     """
-    if index.metric == "L1":
-        keys = np.stack([_distances(index.descriptors, q, "L1") for q in queries])
-        slack = np.zeros(queries.shape[0])
-    else:
-        q_sq = (queries ** 2).sum(axis=1)
-        keys = queries @ index.descriptors.T
-        keys *= -2.0
-        keys += q_sq[:, None]
-        keys += index.sq_norms
-        slack = 8.0 * (index.dim + 5) * 2.0 ** -53 * (q_sq + index.sq_norms.max())
+    q_sq = (queries ** 2).sum(axis=1)
+    keys = queries @ index.descriptors.T
+    keys *= -2.0
+    keys += q_sq[:, None]
+    keys += index.sq_norms
+    slack = 8.0 * (index.dim + 5) * 2.0 ** -53 * (q_sq + index.sq_norms.max())
     if mask is not None:
         keys[~mask] = np.inf
     c = min(cap, index.size)
@@ -181,7 +170,7 @@ def _rerank(index: RetrievalIndex, queries: np.ndarray, qi: np.ndarray,
             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pairs sorted by query, then by exact (distance, id); returns (query,
     row, distance, rank within the query)."""
-    dists = _distances(index.descriptors[rows], queries[qi], index.metric)
+    dists = _distances(index.descriptors[rows], queries[qi])
     order = np.lexsort((index.ids[rows], dists, qi))
     qi, rows, dists = qi[order], rows[order], dists[order]
     return qi, rows, dists, np.arange(qi.shape[0]) - np.searchsorted(qi, qi)
@@ -285,8 +274,9 @@ def recall_curve(queries: QuerySet, index: RetrievalIndex, protocol: EvalProtoco
     return [(k, recall_from_ranks(ranks, k)) for k in range(1, max_k + 1)]
 
 
-def _protocol_ks(protocol: EvalProtocol, database_size: int) -> dict[str, int]:
-    """Metric name -> k for the protocol's k_list and recall@1%."""
+def protocol_ks(protocol: EvalProtocol, database_size: int) -> dict[str, int]:
+    """Metric name -> k for the protocol's k_list and recall@1%, in that
+    order; a k listed twice is one metric."""
     ks = {str(k): k for k in protocol.k_list}
     if protocol.one_percent:
         ks["1pct"] = one_percent_k(database_size)
@@ -341,7 +331,7 @@ def kitti_revisit_eval(queries: QuerySet, index: RetrievalIndex,
         return in_db & kitti_revisit_filter(t0, index.timestamps,
                                             protocol.revisit_min_gap_s)
 
-    ks = _protocol_ks(protocol, db_rows.shape[0])
+    ks = protocol_ks(protocol, db_rows.shape[0])
     ranks = first_match_ranks(sub_queries, index, protocol.success_radius_m,
                               max(ks.values(), default=1), candidates)
     return {name: recall_from_ranks(ranks, k) for name, k in ks.items()}
@@ -369,7 +359,7 @@ def oxford_pairwise_eval(runs: Sequence[tuple[QuerySet, RetrievalIndex]],
             if i == j:
                 continue
             pairs += 1
-            ks = _protocol_ks(protocol, db.size)
+            ks = protocol_ks(protocol, db.size)
             ranks = first_match_ranks(qset, db, protocol.success_radius_m,
                                       max(ks.values(), default=1))
             for name, k in ks.items():

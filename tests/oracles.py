@@ -123,7 +123,7 @@ def voxelize_per_voxel(points, range_min, range_max, voxel_size, dims, max_point
     return blocks, np.minimum(counts, max_points), coords
 
 
-def brute_force_mining(descriptors, positive_mask, negative_mask, metric="L2"):
+def brute_force_mining(descriptors, positive_mask, negative_mask):
     """Per-anchor hardest positive / negative by exhaustive pair search."""
     n = descriptors.shape[0]
     pos_idx = np.full(n, -1)
@@ -135,7 +135,7 @@ def brute_force_mining(descriptors, positive_mask, negative_mask, metric="L2"):
             if a == b:
                 continue
             diff = descriptors[a] - descriptors[b]
-            d = float(np.sqrt((diff ** 2).sum())) if metric == "L2" else float(np.abs(diff).sum())
+            d = float(np.sqrt((diff ** 2).sum()))
             if positive_mask[a, b] and d > best_pos_d:
                 best_pos, best_pos_d = b, d
             if negative_mask[a, b] and d < best_neg_d:
@@ -145,19 +145,16 @@ def brute_force_mining(descriptors, positive_mask, negative_mask, metric="L2"):
     return pos_idx, neg_idx
 
 
-def brute_force_knn(db, ids, query, k, metric="L2"):
-    """Exact k nearest neighbors, ties resolved by lowest id."""
-    if metric == "L2":
-        dists = np.sqrt(((db - query) ** 2).sum(axis=1))
-    else:
-        dists = np.abs(db - query).sum(axis=1)
+def brute_force_knn(db, ids, query, k):
+    """Exact k nearest neighbors by L2 distance, ties resolved by lowest id."""
+    dists = np.sqrt(((db - query) ** 2).sum(axis=1))
     order = sorted(range(db.shape[0]), key=lambda i: (dists[i], ids[i]))
     sel = order[:k]
     return np.asarray([ids[i] for i in sel]), dists[sel]
 
 
 def brute_force_recall_at_k(query_desc, query_pos, db_desc, db_pos, db_ids,
-                            radius, k, metric="L2"):
+                            radius, k):
     """Fraction of valid queries with an in-radius entry in their top-k."""
     hits = 0
     valid = 0
@@ -166,7 +163,7 @@ def brute_force_recall_at_k(query_desc, query_pos, db_desc, db_pos, db_ids,
         if not gt.any():
             continue
         valid += 1
-        top_ids, _ = brute_force_knn(db_desc, db_ids, query_desc[q], k, metric)
+        top_ids, _ = brute_force_knn(db_desc, db_ids, query_desc[q], k)
         id_to_row = {int(i): r for r, i in enumerate(db_ids)}
         if any(gt[id_to_row[int(i)]] for i in top_ids):
             hits += 1

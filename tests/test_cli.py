@@ -87,8 +87,6 @@ def test_config_value_that_fails_its_cast_is_located(tmp_path, capsys):
     ("projection", ["train", "--stage", "image"], "perspective, orthographic"),
     ("local_loss_mode", ["train", "--stage", "image"],
      "depth_scaled, collision_normalized"),
-    ("metric", ["eval", "--query", "q.vxpd", "--db", "db.vxpd", "--query-manifest",
-                "q.csv", "--db-manifest", "db.csv"], "L2, L1"),
 ])
 def test_config_value_outside_its_choices_is_located(tmp_path, capsys, key, argv, allowed):
     cfg = tmp_path / "run.cfg"
@@ -98,6 +96,21 @@ def test_config_value_outside_its_choices_is_located(tmp_path, capsys, key, argv
     code = run(argv + ["--out", str(tmp_path / "out"), "--config", str(cfg)])
     assert code == 1
     assert f"run.cfg:2: {key}: 'foo' is not one of {allowed}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+EVAL_ARGV = ["eval", "--query", "q.vxpd", "--db", "db.vxpd", "--query-manifest", "q.csv",
+             "--db-manifest", "db.csv"]
+
+
+@pytest.mark.parametrize("line,key", [("metirc=L1", "metirc"), ("metric=L1", "metric")],
+                         ids=["misspelt", "deleted_metric"])
+def test_config_key_no_subcommand_reads_is_located(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=1\n{line}\n")  # seed is read by other subcommands: accepted
+    code = run(EVAL_ARGV + ["--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 1
+    assert f"run.cfg:2: unknown key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -211,6 +224,20 @@ def test_eval_oxford_and_kitti_protocols(tiny_pipeline, tmp_path):
                     "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("protocol,k,recall")
+
+
+def test_eval_metric_rows_are_the_same_for_every_protocol(tiny_pipeline, tmp_path):
+    def metric_rows(protocol, spec):
+        out = tmp_path / f"{protocol}_{spec}.csv"
+        assert run(["eval", "--query", tiny_pipeline["v2d"], "--db", tiny_pipeline["v3d"],
+                    "--query-manifest", tiny_pipeline["manifest"],
+                    "--db-manifest", tiny_pipeline["manifest"],
+                    "--protocol", protocol, "--recall", spec, "--out", str(out)]) == 0
+        return [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()[1:]]
+
+    for protocol in ("plain", "oxford", "kitti"):
+        assert metric_rows(protocol, "1pct") == [f"{protocol},1pct"]
+    assert metric_rows("plain", "1,1") == ["plain,1"]
 
 
 def test_eval_never_mutates_inputs(tiny_pipeline, tmp_path):

@@ -197,6 +197,13 @@ class TestManifest:
         dataio.write_manifest(p, rows)
         assert [r.sample_id for r in dataio.parse_manifest(p)] == [sample_id, "s1"]
 
+    def test_carriage_returns_round_trip(self, tmp_path):
+        p = tmp_path / "m.csv"
+        rows = self.rows(2)
+        rows[0].sample_id, rows[0].cloud_path, rows[1].run_id = "a\rb", "c\r\n.bin", "t\r"
+        dataio.write_manifest(p, rows)
+        assert dataio.parse_manifest(p) == rows
+
     def test_oversized_field_is_parse_error_with_line(self, tmp_path):
         p = tmp_path / "m.csv"
         dataio.write_manifest(p, self.rows(2))

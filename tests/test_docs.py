@@ -1,10 +1,12 @@
-"""Doc/code constant parity: committed docs must match a fresh render."""
+"""Doc/code parity: committed docs must match a fresh render, and the README
+walkthrough must parse with the CLI."""
 
+import shlex
 from pathlib import Path
 
 import pytest
 
-from vxp import constants, protocols, retrieval
+from vxp import cli, constants, protocols, retrieval
 from vxp.errors import DriftDetected
 from vxp.geometry import default_grid_config
 
@@ -66,3 +68,24 @@ def test_docs_carry_the_key_numbers():
     for token in ("0.3", "1.4", "256", "30%", "10.0 m", "25.0 m", "10.0 s",
                   "20.0 m", "(110, 110, 110)", "(28, 28, 28)"):
         assert token in text, token
+
+
+def walkthrough_commands() -> list[list[str]]:
+    """Arguments of every `vxp` line of the README's CLI walkthrough block,
+    with backslash continuations joined."""
+    readme = (DOCS_DIR.parent / "README.md").read_text()
+    block = readme.split("## CLI walkthrough", 1)[1].split("```bash\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("vxp ")]
+
+
+def test_readme_walkthrough_parses():
+    commands = walkthrough_commands()
+    assert [argv[0] for argv in commands] == [
+        "synth", "train", "train", "train", "extract", "extract", "eval", "plot"]
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README walkthrough does not parse: vxp {shlex.join(argv)}")

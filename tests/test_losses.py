@@ -7,8 +7,7 @@ from oracles import brute_force_mining
 from vxp import autodiff as ad
 from vxp import constants, losses
 from vxp.autodiff import Tensor
-from vxp.errors import (NoCorrespondences, NoNegative, NonPositiveBeta, NoPositive,
-                        ShapeMismatch)
+from vxp.errors import NoCorrespondences, NoNegative, NoPositive, ShapeMismatch
 from vxp.geometry import ProjectedFeatureMap
 from vxp.heads import ImageFeatureMap
 
@@ -31,25 +30,21 @@ def image_map(values):
 
 class TestSmoothL1:
     def test_quadratic_branch(self):
-        assert losses.smooth_l1(Tensor([0.5]), beta=1.0).values == 0.125
+        assert losses.smooth_l1(Tensor([0.5])).values == 0.125
 
     def test_linear_branch(self):
-        assert losses.smooth_l1(Tensor([2.0]), beta=1.0).values == 1.5
+        assert losses.smooth_l1(Tensor([2.0])).values == 1.5
 
     def test_zero(self):
-        assert losses.smooth_l1(Tensor([0.0]), beta=1.0).values == 0.0
+        assert losses.smooth_l1(Tensor([0.0])).values == 0.0
 
     def test_sums_over_elements(self):
-        got = losses.smooth_l1(Tensor([0.5, 2.0, 0.0]), beta=1.0).values
+        got = losses.smooth_l1(Tensor([0.5, 2.0, 0.0])).values
         assert got == pytest.approx(0.125 + 1.5)
-
-    def test_bad_beta(self):
-        with pytest.raises(NonPositiveBeta):
-            losses.smooth_l1(Tensor([1.0]), beta=0.0)
 
     def test_gradient_both_branches(self):
         for x0 in (0.4, -0.3, 1.7, -2.5):
-            err = ad.check_gradient(lambda t: losses.smooth_l1(t, 1.0), Tensor([x0]))
+            err = ad.check_gradient(losses.smooth_l1, Tensor([x0]))
             assert err < 1e-6
 
 
@@ -105,7 +100,7 @@ class TestMining:
             got_p, got_n = losses.mine_hardest(batch)
             want_p, want_n = brute_force_mining(batch.descriptors.values,
                                                 batch.positive_mask,
-                                                batch.negative_mask, metric)
+                                                batch.negative_mask)
             assert np.array_equal(got_p, want_p)
             assert np.array_equal(got_n, want_n)
 
@@ -203,7 +198,7 @@ class TestLocalLoss:
         proj = entries_map(1, 1, [0], [0], [0], [2.0])
         voxel = Tensor([[4.0]])
         img = image_map([[[1.0]]])
-        out = losses.local_descriptor_loss(proj, voxel, img, "depth_scaled", beta=1.0)
+        out = losses.local_descriptor_loss(proj, voxel, img, "depth_scaled")
         assert out.values == pytest.approx(0.5)  # smooth_l1(1) on the linear edge
 
     def test_collision_weights_normalize(self):
@@ -263,13 +258,13 @@ class TestGlobalLoss:
     def test_four_unit_differences(self):
         a = Tensor(np.ones(4))
         b = Tensor(np.zeros(4))
-        assert losses.global_descriptor_loss(a, b, beta=1.0).values == pytest.approx(2.0)
+        assert losses.global_descriptor_loss(a, b).values == pytest.approx(2.0)
 
     def test_composition_matches_elementwise(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             a, b = rng.normal(size=(2, 10))
-            got = losses.global_descriptor_loss(Tensor(a), Tensor(b), beta=1.0).values
+            got = losses.global_descriptor_loss(Tensor(a), Tensor(b)).values
             want = sum(0.5 * d * d if abs(d) < 1.0 else abs(d) - 0.5 for d in a - b)
             assert got == pytest.approx(want)
 

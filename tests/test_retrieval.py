@@ -11,14 +11,14 @@ from vxp.errors import (DimMismatch, Empty, InsufficientRuns, InvalidK,
                         MissingTimestamps, NonFinite, NoValidQueries)
 
 
-def simple_index(descs, positions=None, ids=None, timestamps=None, metric="L2"):
+def simple_index(descs, positions=None, ids=None, timestamps=None):
     descs = np.asarray(descs, dtype=float)
     n = descs.shape[0]
     if positions is None:
         positions = np.zeros((n, 3))
     if ids is None:
         ids = np.arange(n, dtype=np.uint64)
-    return rt.build_index(descs, ids, positions, timestamps, metric)
+    return rt.build_index(descs, ids, positions, timestamps)
 
 
 class TestBuildIndex:
@@ -80,10 +80,7 @@ class TestQueryKnn:
         idx = simple_index([[0.0, 3.0], [2.0, 2.0]])
         q = np.zeros(2)
         ids_l2, _ = rt.query_knn(idx, q, 1)
-        assert ids_l2[0] == 1  # sqrt(8) ~ 2.83 < 3
-        idx_l1 = simple_index([[0.0, 3.0], [2.0, 2.0]], metric="L1")
-        ids_l1, _ = rt.query_knn(idx_l1, q, 1)
-        assert ids_l1[0] == 0  # 3 < 4
+        assert ids_l2[0] == 1  # sqrt(8) ~ 2.83 < 3; by L1, row 0 would win (3 < 4)
 
     def test_tie_breaks_by_lowest_id(self):
         idx = rt.build_index(np.array([[1.0], [1.0]]),
@@ -100,18 +97,18 @@ class TestQueryKnn:
         with pytest.raises(DimMismatch):
             rt.query_knn(idx, np.ones(2), 1)
 
-    @pytest.mark.parametrize("metric", ["L2", "L1"])
+    @pytest.mark.parametrize("metric", ["L2"])
     def test_matches_brute_force(self, metric):
         for seed in range(30):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 80))
             descs = rng.normal(size=(n, 5))
             ids = rng.permutation(n).astype(np.uint64)
-            idx = simple_index(descs, ids=ids, metric=metric)
+            idx = simple_index(descs, ids=ids)
             q = rng.normal(size=5)
             k = int(rng.integers(1, n + 1))
             got_ids, got_d = rt.query_knn(idx, q, k)
-            want_ids, want_d = brute_force_knn(descs, ids, q, k, metric)
+            want_ids, want_d = brute_force_knn(descs, ids, q, k)
             assert np.array_equal(got_ids, want_ids)
             assert np.allclose(got_d, want_d, atol=0)
 
@@ -210,8 +207,7 @@ def adversarial(kind, descs):
     return descs
 
 
-def ranks_oracle(q_desc, q_pos, db_desc, db_pos, ids, radius, cap, rows_for=None,
-                 metric="L2"):
+def ranks_oracle(q_desc, q_pos, db_desc, db_pos, ids, radius, cap, rows_for=None):
     """First-match ranks from brute-force kNN over each query's candidates."""
     out = []
     for q in range(q_desc.shape[0]):
@@ -220,7 +216,7 @@ def ranks_oracle(q_desc, q_pos, db_desc, db_pos, ids, radius, cap, rows_for=None
         if not gt.any():
             out.append(-1)
             continue
-        top, _ = brute_force_knn(db_desc[rows], ids[rows], q_desc[q], len(rows), metric)
+        top, _ = brute_force_knn(db_desc[rows], ids[rows], q_desc[q], len(rows))
         good = {int(i) for i in ids[rows][gt]}
         first = next(r for r, i in enumerate(top) if int(i) in good)
         out.append(min(first, cap))
@@ -228,7 +224,7 @@ def ranks_oracle(q_desc, q_pos, db_desc, db_pos, ids, radius, cap, rows_for=None
 
 
 class TestEngine:
-    @pytest.mark.parametrize("metric", ["L2", "L1"])
+    @pytest.mark.parametrize("metric", ["L2"])
     @pytest.mark.parametrize("dim", [4, 256])
     @pytest.mark.parametrize("kind", ["duplicates", "offset"])
     def test_knn_matches_brute_force_exactly(self, metric, dim, kind):
@@ -236,17 +232,17 @@ class TestEngine:
         n = 120
         descs = adversarial(kind, rng.normal(size=(n, dim)))
         ids = rng.permutation(n).astype(np.uint64)
-        idx = simple_index(descs, ids=ids, metric=metric)
+        idx = simple_index(descs, ids=ids)
         queries = adversarial(kind, rng.normal(size=(6, dim)))
         queries[0] = descs[3]  # an exact hit on a duplicated row
         for q in queries:
             for k in (1, 7, n):
                 got_ids, got_d = rt.query_knn(idx, q, k)
-                want_ids, want_d = brute_force_knn(descs, ids, q, k, metric)
+                want_ids, want_d = brute_force_knn(descs, ids, q, k)
                 assert np.array_equal(got_ids, want_ids)
                 assert np.array_equal(got_d, want_d)
 
-    @pytest.mark.parametrize("metric", ["L2", "L1"])
+    @pytest.mark.parametrize("metric", ["L2"])
     @pytest.mark.parametrize("n_q", [1, 23])
     @pytest.mark.parametrize("kind", ["duplicates", "offset"])
     def test_ranks_and_recalls_across_blocks(self, monkeypatch, metric, n_q, kind):
@@ -262,13 +258,12 @@ class TestEngine:
         q_pos = np.zeros((n_q, 3))
         q_pos[:, 0] = rng.uniform(-60.0, 510.0, size=n_q)
         ids = rng.permutation(90).astype(np.uint64)
-        idx = simple_index(db_desc, positions=db_pos, ids=ids, metric=metric)
+        idx = simple_index(db_desc, positions=db_pos, ids=ids)
         monkeypatch.setattr(rt, "_BLOCK_ELEMS", 5 * idx.size)
         queries = rt.QuerySet(q_desc, q_pos)
         proto = rt.EvalProtocol()
         ranks = rt.first_match_ranks(queries, idx, proto.success_radius_m, 25)
-        want = ranks_oracle(q_desc, q_pos, db_desc, db_pos, ids, proto.success_radius_m, 25,
-                            metric=metric)
+        want = ranks_oracle(q_desc, q_pos, db_desc, db_pos, ids, proto.success_radius_m, 25)
         assert np.array_equal(ranks, want)
         curve = rt.recall_curve(queries, idx, proto)
         for k in range(1, 26):
@@ -282,7 +277,7 @@ class TestEngine:
             assert prefix == rt.recall_at_k(queries, idx, proto, k)
             assert prefix == curve[k - 1][1]
             assert prefix == brute_force_recall_at_k(q_desc, q_pos, db_desc, db_pos, ids,
-                                                     proto.success_radius_m, k, metric)
+                                                     proto.success_radius_m, k)
 
     def test_rank_codes(self):
         # rows 0-2 are closest in descriptor space but far away in position
