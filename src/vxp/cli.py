@@ -320,7 +320,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         points.append((_cast(int, k, f"{where}: k"), _cast(float, r, f"{where}: recall")))
     if not points:
         raise VxpError(f"{args.input}: no data rows")
-    Path(args.out).write_text(_render_svg_curve(points, Path(args.input).stem))
+    dataio.write_file(args.out, _render_svg_curve(points, Path(args.input).stem))
     print(f"wrote recall curve to {args.out}")
     return 0
 

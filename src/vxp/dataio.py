@@ -11,13 +11,17 @@ Formats owned here:
 Parsers fail loudly with located errors; nothing is returned on partial
 reads. Every reader gets its bytes or text from `read_file`, so a file that
 cannot be read is an IoError and text that is not UTF-8 a MalformedFile,
-each naming the path.
+each naming the path. Every writer in vxp hands its bytes or text to
+`write_file`, which replaces a regular file with a new one instead of
+truncating it, and reports a file that cannot be written as an IoError.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from math import isfinite, prod
@@ -81,6 +85,38 @@ def read_file(path, text: bool = False) -> bytes | str:
         raise MalformedFile(f"{path}: byte {exc.start} is not UTF-8") from exc
 
 
+def write_file(path, data: bytes | str) -> None:
+    """Write bytes, or a str as UTF-8, to path.
+
+    A regular file with one link is unlinked and created anew with its old
+    permission bits: a new file is never truncated, and on ext4 truncating a
+    recently rewritten file waits for its blocks to be allocated (tens of
+    ms). A symlink, a hard-linked file, a device or a FIFO is written in
+    place, and so is a file whose directory refuses the unlink. A file the
+    caller may not write is not replaced either, so it fails as before.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        try:
+            st = os.lstat(path)
+            replace = (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                       and os.access(path, os.W_OK))
+        except FileNotFoundError:
+            replace = False
+        if replace:
+            try:
+                os.unlink(path)
+            except PermissionError:  # the directory refuses it
+                replace = False
+        with open(path, "wb") as fh:
+            if replace:  # before any byte is written
+                os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            fh.write(data)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 # --- point clouds ---
 
 def load_point_cloud_bin(path) -> PointCloud:
@@ -104,7 +140,7 @@ def write_point_cloud_bin(path, points: np.ndarray) -> None:
     """Write (x, y, z, 0) records; the intensity column is zero."""
     points = np.asarray(points, dtype=np.float64)
     data = np.column_stack([points, np.zeros(points.shape[0])]).astype("<f4")
-    Path(path).write_bytes(data.tobytes())
+    write_file(path, data.tobytes())
 
 
 # --- raw image grids ---
@@ -133,7 +169,7 @@ def write_image_raw(path, image: np.ndarray) -> None:
     image = np.asarray(image, dtype=np.float64)
     height, width = image.shape
     payload = struct.pack("<II", width, height) + image.astype("<f4").tobytes()
-    Path(path).write_bytes(payload)
+    write_file(path, payload)
 
 
 # --- calibration ---
@@ -144,7 +180,7 @@ def write_calibration(path, proj: ProjectionModel) -> None:
              f"{proj.fx_n!r} {proj.fy_n!r} {proj.cx_n!r} {proj.cy_n!r}"]
     for row in proj.extrinsic[:3]:
         lines.append(" ".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def read_calibration(path) -> ProjectionModel:
@@ -186,20 +222,21 @@ def parse_manifest(path) -> list[SampleManifestRow]:
         if header != MANIFEST_HEADER:
             raise HeaderMismatch(f"{path}: header {header} != {MANIFEST_HEADER}")
         for rec in reader:
-            where = f"{path}:{reader.line_num}"
             if len(rec) != len(MANIFEST_HEADER):
-                raise ParseError(f"{where}: expected {len(MANIFEST_HEADER)} fields")
+                raise ParseError(f"{path}:{reader.line_num}: "
+                                 f"expected {len(MANIFEST_HEADER)} fields")
             sample_id = rec[0]
             if sample_id in seen:
-                raise DuplicateId(f"{where}: duplicate id {sample_id!r}")
+                raise DuplicateId(f"{path}:{reader.line_num}: duplicate id {sample_id!r}")
             seen.add(sample_id)
             try:
                 ts = float(rec[1])
                 x, y, z = float(rec[2]), float(rec[3]), float(rec[4])
             except ValueError as exc:
-                raise ParseError(f"{where}: bad float") from exc
+                raise ParseError(f"{path}:{reader.line_num}: bad float") from exc
             if not (isfinite(ts) and isfinite(x) and isfinite(y) and isfinite(z)):
-                raise ParseError(f"{where}: timestamp and position must be finite")
+                raise ParseError(f"{path}:{reader.line_num}: "
+                                 "timestamp and position must be finite")
             rows.append(SampleManifestRow(
                 sample_id=sample_id, timestamp_s=ts, position=(x, y, z),
                 cloud_path=rec[5], image_path=rec[6], run_id=rec[7]))
@@ -215,11 +252,12 @@ def write_manifest(path, rows: list[SampleManifestRow]) -> None:
     records = [[r.sample_id, repr(r.timestamp_s), repr(r.position[0]), repr(r.position[1]),
                 repr(r.position[2]), r.cloud_path, r.image_path, r.run_id] for r in rows]
     quote_all = any("\r" in "".join(rec) for rec in records)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n",
-                            quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows(records)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n",
+                        quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+    writer.writerow(MANIFEST_HEADER)
+    writer.writerows(records)
+    write_file(path, text.getvalue())
 
 
 def load_training_set(manifest_path, calib_path,
@@ -293,8 +331,7 @@ def write_descriptors(path, ids: np.ndarray, descriptors: np.ndarray) -> None:
     records["id"] = ids
     records["d"] = descriptors
     _check_records(path, records)
-    Path(path).write_bytes(VXPD_MAGIC + struct.pack("<HII", 1, dim, count)
-                           + records.tobytes())
+    write_file(path, VXPD_MAGIC + struct.pack("<HII", 1, dim, count) + records.tobytes())
 
 
 def read_descriptors(path) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +374,7 @@ def write_checkpoint(path, params: dict[str, Tensor]) -> None:
         for extent in values.shape:
             out += struct.pack("<I", extent)
         out += values.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+    write_file(path, bytes(out))
 
 
 def read_checkpoint(path) -> dict[str, Tensor]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import constants
+from .dataio import write_file
 from .errors import DriftDetected
 
 _PROTOCOLS_HEADER = """\
@@ -92,7 +93,7 @@ def write_protocol_docs(docs_dir) -> None:
     docs_dir = Path(docs_dir)
     docs_dir.mkdir(parents=True, exist_ok=True)
     for name, content in render_protocol_docs().items():
-        (docs_dir / name).write_text(content)
+        write_file(docs_dir / name, content)
 
 
 def verify_protocol_docs(docs_dir) -> None:

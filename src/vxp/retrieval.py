@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import constants
+from .dataio import write_file
 from .errors import (DimMismatch, Empty, InsufficientRuns, InvalidK,
                      MissingTimestamps, NonFinite, NoValidQueries)
 
@@ -372,8 +373,7 @@ def write_results_csv(path, rows: list[tuple[str, str, float]]) -> None:
     lines = ["protocol,k,recall"]
     for protocol_name, k, recall in rows:
         lines.append(f"{protocol_name},{k},{float(recall)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def write_curve_csv(path, curve: list[tuple[int, float]]) -> None:
@@ -381,5 +381,4 @@ def write_curve_csv(path, curve: list[tuple[int, float]]) -> None:
     lines = ["k,recall"]
     for k, recall in curve:
         lines.append(f"{k},{float(recall)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")

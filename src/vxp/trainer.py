@@ -23,7 +23,6 @@ import hashlib
 import logging
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from . import autodiff as ad
 from . import heads, losses, sparse3d
 from .autodiff import Tape, Tensor
 # write_checkpoint is bound here for the benchmark's tracer (perfbench/spans.py)
-from .dataio import TrainingSet, write_checkpoint  # noqa: F401
+from .dataio import TrainingSet, write_checkpoint, write_file  # noqa: F401
 from .errors import (AllPointsCulled, DegenerateDataset, EmptyCloud,
                      NoVisibleVoxels, ShapeMismatch)
 from .geometry import (ProjectedFeatureMap, VoxelGrid, VoxelGridConfig,
@@ -256,7 +255,7 @@ class StageResult:
 
 def write_loss_history(path, history: list[tuple[int, int, float]]) -> None:
     lines = ["epoch,step,loss"] + [f"{e},{s},{l!r}" for e, s, l in history]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 # --- stage 1: image triplet training ---
