@@ -1,12 +1,13 @@
 """File formats round-trip exactly; malformed inputs raise located errors."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from oracles import write_descriptors_per_record
-from vxp import dataio, synthetic
+from vxp import dataio, retrieval, synthetic
 from vxp.autodiff import Tensor
 from vxp.errors import (BadMagic, DuplicateId, HeaderMismatch, IoError, MalformedFile,
                         NonFinite, ParseError, TruncatedFile, VersionUnsupported)
@@ -478,3 +479,90 @@ class TestSyntheticScenes:
         c = synthetic.generate_synthetic_scene(params, 1, 0)
         d = np.sqrt(sum((x - y) ** 2 for x, y in zip(a.position, c.position)))
         assert d > 25.0
+
+
+# --- the one write path ---
+
+# writer name -> write(path, version); versions 0 and 1 give different bytes
+WRITERS = {
+    "write_point_cloud_bin": lambda p, v: dataio.write_point_cloud_bin(
+        p, np.full((2 + v, 3), float(v))),
+    "write_image_raw": lambda p, v: dataio.write_image_raw(p, np.full((2, 3 + v), float(v))),
+    "write_calibration": lambda p, v: dataio.write_calibration(p, ProjectionModel(
+        fx_n=0.5 + v, fy_n=0.5, cx_n=0.5, cy_n=0.5, extrinsic=np.eye(4))),
+    "write_manifest": lambda p, v: dataio.write_manifest(p, TestManifest.rows(2 + v)),
+    "write_descriptors": lambda p, v: dataio.write_descriptors(
+        p, np.arange(2 + v, dtype=np.uint64), np.full((2 + v, 4), float(v))),
+    "write_checkpoint": lambda p, v: dataio.write_checkpoint(
+        p, {"w": Tensor(np.full(2 + v, float(v)))}),
+    "write_results_csv": lambda p, v: retrieval.write_results_csv(
+        p, [("plain", "1", 0.25 * v)]),
+    "write_curve_csv": lambda p, v: retrieval.write_curve_csv(p, [(1, 0.5), (2, 0.25 * v)]),
+}
+
+
+def _fresh_bytes(tmp_path, write, version):
+    fresh = tmp_path / f"fresh{version}"
+    write(fresh, version)
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("name", WRITERS)
+class TestWritePath:
+    def test_rewrite_leaves_an_open_reader_on_the_old_bytes(self, tmp_path, name):
+        write, p = WRITERS[name], tmp_path / "out"
+        write(p, 0)
+        with open(p, "rb") as old:
+            write(p, 1)
+            assert old.read() == _fresh_bytes(tmp_path, write, 0)
+        assert p.read_bytes() == _fresh_bytes(tmp_path, write, 1)
+
+    def test_rewrite_keeps_permission_bits(self, tmp_path, name):
+        write, p = WRITERS[name], tmp_path / "out"
+        write(p, 0)
+        p.chmod(0o600)
+        write(p, 1)
+        assert p.stat().st_mode & 0o7777 == 0o600
+
+    def test_symlink_stays_a_symlink_and_its_target_changes(self, tmp_path, name):
+        write, target, link = WRITERS[name], tmp_path / "target", tmp_path / "link"
+        write(target, 0)
+        link.symlink_to(target)
+        write(link, 1)
+        assert link.is_symlink()
+        assert target.read_bytes() == _fresh_bytes(tmp_path, write, 1)
+
+    def test_hard_linked_file_is_written_in_place(self, tmp_path, name):
+        write, a, b = WRITERS[name], tmp_path / "a", tmp_path / "b"
+        write(a, 0)
+        os.link(a, b)
+        write(a, 1)
+        assert a.stat().st_ino == b.stat().st_ino
+        assert a.read_bytes() == b.read_bytes() == _fresh_bytes(tmp_path, write, 1)
+
+    def test_missing_directory_is_io_error_naming_path(self, tmp_path, name):
+        with pytest.raises(IoError, match=r"nowhere.out"):
+            WRITERS[name](tmp_path / "nowhere" / "out", 0)
+
+
+def test_write_file_encodes_text_as_utf8(tmp_path):
+    dataio.write_file(tmp_path / "t.txt", "caf\u00e9\n")
+    assert (tmp_path / "t.txt").read_bytes() == b"caf\xc3\xa9\n"
+
+
+def _refuse_unlink(path):
+    raise PermissionError(13, "Permission denied", str(path))
+
+
+@pytest.mark.parametrize("patch", [("unlink", _refuse_unlink),
+                                   ("access", lambda path, mode: False)],
+                         ids=["directory_refuses_unlink", "file_not_writable"])
+def test_file_that_cannot_be_replaced_is_written_in_place(tmp_path, monkeypatch, patch):
+    p = tmp_path / "out"
+    p.write_bytes(b"old bytes")
+    inode = p.stat().st_ino
+    monkeypatch.setattr(os, *patch)
+    dataio.write_file(p, b"new")
+    monkeypatch.undo()
+    assert p.stat().st_ino == inode
+    assert p.read_bytes() == b"new"
