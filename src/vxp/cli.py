@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -75,19 +76,27 @@ class _Resolved:
         self._config = _read_config_file(getattr(args, "config", None))
         self._seen: dict[str, object] = {}
 
-    def get(self, key: str, cast=str):
+    def get(self, key: str, cast=str, require=None):
+        """The resolved value of key. require is (predicate, wording): a value
+        failing it is refused naming the flag, file:line or variable that
+        set it."""
         value = getattr(self._args, key, None)
+        where = "--" + key.replace("_", "-")
         if value is None:
             if key in self._config:
-                where, text = self._config[key]
-                value = _cast(cast, text, f"{where}: {key}")
+                line, text = self._config[key]
+                where = f"{line}: {key}"
+                value = _cast(cast, text, where)
                 if key in _CHOICES and value not in _CHOICES[key]:
-                    raise VxpError(f"{where}: {key}: {value!r} is not one of "
+                    raise VxpError(f"{where}: {value!r} is not one of "
                                    + ", ".join(_CHOICES[key]))
             elif key == "seed" and "VXP_SEED" in os.environ:
-                value = _cast(int, os.environ["VXP_SEED"], "VXP_SEED")
+                where = "VXP_SEED"
+                value = _cast(int, os.environ[where], where)
             else:
                 value = _DEFAULTS[key]
+        if require is not None and not require[0](value):
+            raise VxpError(f"{where}: {value!r} is not {require[1]}")
         self._seen[key] = value
         return value
 
@@ -108,7 +117,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _Resolved(args)
     seed = cfg.get("seed", int)
-    traversals = cfg.get("traversals", int)
+    traversals = cfg.get("traversals", int, (lambda n: n >= 1, ">= 1"))
+    if args.scenes < 1:
+        raise VxpError(f"--scenes: {args.scenes} is not >= 1")
     cfg.print_if_requested()
     dataset = synthetic_training_set(SyntheticSceneParams(seed=seed), range(args.scenes),
                                      traversals)
@@ -223,7 +234,8 @@ def _parse_recall_spec(spec: str, protocol: str) -> tuple[list[int], bool, bool]
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _Resolved(args)
-    radius = cfg.get("radius", float)
+    radius = cfg.get("radius", float, (lambda r: math.isfinite(r) and r > 0,
+                                        "a finite radius > 0"))
     recall_spec = cfg.get("recall")
     cfg.print_if_requested()
     ks, one_percent, curve = _parse_recall_spec(recall_spec, args.protocol)

@@ -211,7 +211,8 @@ def read_calibration(path) -> ProjectionModel:
 # --- manifests ---
 
 def parse_manifest(path) -> list[SampleManifestRow]:
-    """Manifest rows; an error names the line on which its record ends."""
+    """Manifest rows, at least one; an error names the line on which its
+    record ends."""
     reader = csv.reader(io.StringIO(read_file(path, text=True), newline=""))
     rows: list[SampleManifestRow] = []
     seen: set[str] = set()
@@ -242,6 +243,8 @@ def parse_manifest(path) -> list[SampleManifestRow]:
                 cloud_path=rec[5], image_path=rec[6], run_id=rec[7]))
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise MalformedFile(f"{path}: manifest has no sample rows")
     return rows
 
 

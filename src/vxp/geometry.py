@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants
-from .errors import AllPointsCulled, EmptyCloud, NonFinite, NoVisibleVoxels
+from .errors import AllPointsCulled, EmptyCloud, NonFinite, NoVisibleVoxels, TooLarge
 
 # tolerance absorbing float rounding in (max-min)/size when the ratio is an
 # exact integer (44/0.4 evaluates to 110.00000000000001)
 _DIM_EPS = 1e-9
+# composite sort keys are int64: cells * count must stay below this
+_KEY_BOUND = 2 ** 63
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,37 @@ class VoxelGrid:
         return self.coords.shape[0]
 
 
+def stable_key_order(keys: np.ndarray, cells: int, what: str
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(order, keys[order]), with order the one np.argsort(keys, kind="stable")
+    gives, for n non-negative int64 keys below cells.
+
+    The composite keys key * n + position are unique, so the faster unstable
+    np.sort orders them as a stable sort orders the keys; divmod by n splits
+    them back. That needs cells * n < 2**63; at or above it TooLarge names
+    what is being sorted.
+    """
+    n = keys.shape[0]
+    if cells * n >= _KEY_BOUND:
+        raise TooLarge(f"{what}: {cells} cells x {n} keys reach the 2**63 sort-key bound")
+    composite = keys * n
+    composite += np.arange(n)
+    composite.sort()
+    sorted_keys, order = np.divmod(composite, n)
+    return order, sorted_keys
+
+
 def voxelize(cloud: PointCloud, config: VoxelGridConfig, seed: int) -> VoxelGrid:
     """Assign in-range points to voxels; subsample overfull voxels.
 
     Points inside the half-open box [range_min, range_max) go to the voxel
     floor((p - min) / size); everything else is discarded. Voxels are in
-    ascending flat-index order. Deterministic given (cloud, config, seed).
-    A non-finite coordinate raises NonFinite naming its point.
+    ascending flat-index order, and each voxel's points keep their input
+    order. Deterministic given (cloud, config, seed). The points are ordered
+    by stable_key_order over their flat voxel index, so the grid's cell
+    count times the in-range point count must stay below 2**63 (TooLarge
+    names the grid and the cloud otherwise). A non-finite coordinate raises
+    NonFinite naming its point.
     """
     pts = cloud.points
     if pts.shape[0] == 0:
@@ -101,22 +127,22 @@ def voxelize(cloud: PointCloud, config: VoxelGridConfig, seed: int) -> VoxelGrid
     if not finite.all():
         point = int(np.argmin(finite.all(axis=1)))
         raise NonFinite(f"cloud {cloud.sample_id!r}: point {point} is not finite")
-    lo = np.asarray(config.range_min)
-    hi = np.asarray(config.range_max)
-    size = np.asarray(config.voxel_size)
-    dims = np.asarray(config.grid_dims)
+    lo, hi, size, dims = config.range_min, config.range_max, config.voxel_size, config.grid_dims
 
     idx = np.floor((pts - lo) / size).astype(np.int64)
     # pts >= lo already gives idx >= 0; idx < dims guards rounding at hi
-    keep = np.all(pts >= lo, axis=1) & np.all(pts < hi, axis=1) & np.all(idx < dims, axis=1)
+    keep = np.ones(pts.shape[0], dtype=bool)
+    for axis in range(3):
+        keep &= pts[:, axis] >= lo[axis]
+        keep &= pts[:, axis] < hi[axis]
+        keep &= idx[:, axis] < dims[axis]
     if not keep.any():
         raise AllPointsCulled("no point inside the configured range")
-    pts = pts[keep]
-    idx = idx[keep]
-
+    # kept rows by index and take(): boolean or fancy indexing of (N, 3) rows is slower
+    rows = np.flatnonzero(keep)
     flat = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
-    order = np.argsort(flat, kind="stable")
-    flat_sorted = flat[order]
+    order, flat_sorted = stable_key_order(
+        flat.take(rows), math.prod(dims), f"cloud {cloud.sample_id!r} on grid {dims}")
     # voxel runs of the sorted keys
     starts = np.flatnonzero(np.r_[True, flat_sorted[1:] != flat_sorted[:-1]])
     counts = np.diff(np.r_[starts, flat_sorted.shape[0]])
@@ -131,8 +157,9 @@ def voxelize(cloud: PointCloud, config: VoxelGridConfig, seed: int) -> VoxelGrid
         taken[starts[v]:starts[v] + counts[v]] = False
         taken[starts[v] + pick] = True
 
-    coords = np.stack(np.unravel_index(uniq, config.grid_dims), axis=1).astype(np.int64)
-    return VoxelGrid(points=pts[order[taken]], valid_counts=np.minimum(counts, m),
+    coords = np.stack(np.unravel_index(uniq, dims), axis=1).astype(np.int64)
+    return VoxelGrid(points=pts.take(rows[order[taken]], axis=0),
+                     valid_counts=np.minimum(counts, m),
                      coords=coords, config=config)
 
 

@@ -43,8 +43,8 @@ class EvalProtocol:
     sampling_start_offset_m: float = constants.KITTI_SAMPLING_START_OFFSET_M
 
     def __post_init__(self):
-        if self.success_radius_m <= 0:
-            raise ValueError("success radius must be positive")
+        if not (math.isfinite(self.success_radius_m) and self.success_radius_m > 0):
+            raise ValueError("success radius must be finite and positive")
         if any(k < 1 for k in self.k_list):
             raise ValueError("k values must be >= 1")
 

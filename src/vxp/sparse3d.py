@@ -19,6 +19,7 @@ offset, so empty neighbours cost nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ChannelMismatch, EmptyGrid, TooLarge
-from .geometry import VoxelGrid
+from .geometry import VoxelGrid, stable_key_order
 
 # sparse_to_dense refuses to allocate more than this many float64 values
 DENSE_CELL_CAP = 64_000_000
@@ -162,6 +163,11 @@ def plan_sparse_conv(in_coords: np.ndarray, in_dims, kernel_size: int,
     kernel offset d when i = o*stride + d - pad on every axis. An output site
     is active when at least one such pair exists, which is exactly the
     dense-conv receptive-field criterion. No input coordinate is looked up.
+
+    Order: output rows are numbered by ascending flat output key, and within
+    each offset in_rows ascend. The pairs' output keys are ordered with
+    geometry.stable_key_order, so the output grid's cell count times the
+    number of pairs must stay below 2**63 (TooLarge otherwise).
     """
     in_coords = np.asarray(in_coords, dtype=np.int64)
     k, pad = kernel_size, (kernel_size - 1) // 2
@@ -176,12 +182,22 @@ def plan_sparse_conv(in_coords: np.ndarray, in_dims, kernel_size: int,
         o = reach // stride
         shape = [1, 1, 1, -1]
         shape[axis] = k
-        fit = fit & ((reach % stride == 0) & (o >= 0) & (o < out_dims[axis])).reshape(shape)
+        fit = fit & ((o * stride == reach) & (o >= 0) & (o < out_dims[axis])).reshape(shape)
         key = key + (o * place[axis]).reshape(shape)
-    fit, key = fit.reshape(k ** 3, -1), key.reshape(k ** 3, -1)
 
-    offset_idx, in_rows = np.nonzero(fit)
-    active_flat, out_rows = np.unique(key[fit], return_inverse=True)
+    # pairs in offset-major order, so in_rows ascend within each offset
+    pairs = np.flatnonzero(fit)
+    offset_idx, in_rows = np.divmod(pairs, in_coords.shape[0])
+    order, sorted_keys = stable_key_order(
+        key.ravel()[pairs], math.prod(out_dims),
+        f"conv plan from grid {tuple(map(int, in_dims))} to {out_dims}")
+    # output rows count the distinct keys, in ascending key order
+    run_start = np.empty(sorted_keys.shape[0], dtype=bool)
+    run_start[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=run_start[1:])
+    out_rows = np.empty_like(order)
+    out_rows[order] = np.cumsum(run_start) - 1
+    active_flat = sorted_keys[run_start]
     bounds = np.searchsorted(offset_idx, np.arange(k ** 3 + 1))
     rules = [(in_rows[a:b], out_rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     out_coords = np.stack(np.unravel_index(active_flat, out_dims), axis=1).astype(np.int64)

@@ -94,11 +94,30 @@ def occupied_pair_count(in_coords, out_coords, kernel_size, stride):
     return count
 
 
+def plan_nonzero_unique(in_coords, in_dims, kernel_size, stride):
+    """(out_coords, rules) of a sparse conv plan, from the (k^3, T) pair mask
+    by a 2-D np.nonzero and the output keys by np.unique(return_inverse)."""
+    k, pad = kernel_size, (kernel_size - 1) // 2
+    out_dims = tuple(-(-int(d) // stride) for d in in_dims)
+    offsets = np.stack(np.meshgrid(*[np.arange(k)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    reach = np.asarray(in_coords, dtype=np.int64)[None, :, :] + pad - offsets[:, None, :]
+    out = reach // stride
+    fit = np.all((reach % stride == 0) & (out >= 0) & (out < out_dims), axis=2)
+    key = (out[..., 0] * out_dims[1] + out[..., 1]) * out_dims[2] + out[..., 2]
+    offset_idx, in_rows = np.nonzero(fit)
+    active, out_rows = np.unique(key[fit], return_inverse=True)
+    rules = [(in_rows[offset_idx == d], out_rows[offset_idx == d]) for d in range(k ** 3)]
+    out_coords = np.stack(np.unravel_index(active, out_dims), axis=1).astype(np.int64)
+    return out_coords, rules
+
+
 def voxelize_per_voxel(points, range_min, range_max, voxel_size, dims, max_points, seed):
     """Voxelization with one Python iteration per voxel.
 
-    Returns (blocks, valid_counts, coords). Overfull voxels draw their kept
-    points with rng.choice in ascending flat-index order.
+    Returns (blocks, valid_counts, coords). Points are ordered by a stable
+    np.argsort of their flat voxel index, so each voxel's rows keep their
+    input order. Overfull voxels draw their kept points with rng.choice in
+    ascending flat-index order.
     """
     lo = np.asarray(range_min, dtype=float)
     hi = np.asarray(range_max, dtype=float)

@@ -130,6 +130,34 @@ def test_bad_vxp_seed_is_located(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["--scenes", "0"], "", "--scenes: 0 is not >= 1"),
+    (["--scenes", "-1"], "", "--scenes: -1 is not >= 1"),
+    (["--scenes", "2", "--traversals", "0"], "", "--traversals: 0 is not >= 1"),
+    (["--scenes", "2"], "seed=1\ntraversals=0\n", "run.cfg:2: traversals: 0 is not >= 1"),
+], ids=["zero_scenes", "negative_scenes", "zero_traversals", "config_traversals"])
+def test_synth_refuses_an_empty_dataset(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "d"
+    assert run(["synth", *argv, "--out", str(out), "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2.5"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_eval_radius_must_be_finite_and_positive(tmp_path, capsys, value, source):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=1\nradius={value}\n" if source == "config" else "")
+    flag = [f"--radius={value}"] if source == "flag" else []
+    out = tmp_path / "res.csv"
+    assert run(EVAL_ARGV + flag + ["--out", str(out), "--config", str(cfg)]) == 1
+    where = "--radius" if source == "flag" else "run.cfg:2: radius"
+    assert f"{where}: {float(value)!r} is not a finite radius > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_bad_row_is_located(tmp_path, capsys):
     curve = tmp_path / "c.csv"
     curve.write_text("k,recall\n1,0.5\n2,high\n")

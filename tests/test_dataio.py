@@ -161,6 +161,12 @@ class TestManifest:
         with pytest.raises(HeaderMismatch):
             dataio.parse_manifest(p)
 
+    def test_manifest_without_rows_is_malformed(self, tmp_path):
+        p = tmp_path / "m.csv"
+        dataio.write_manifest(p, [])
+        with pytest.raises(MalformedFile, match=r"m\.csv: manifest has no sample rows"):
+            dataio.parse_manifest(p)
+
     def test_parse_error_carries_line(self, tmp_path):
         p = tmp_path / "m.csv"
         dataio.write_manifest(p, self.rows(1))

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import scalar_pinhole, voxelize_per_voxel
 from vxp import geometry as geo
-from vxp.errors import AllPointsCulled, EmptyCloud, NonFinite, NoVisibleVoxels
+from vxp.errors import AllPointsCulled, EmptyCloud, NonFinite, NoVisibleVoxels, TooLarge
 
 
 def identity_projection(fx=0.5, fy=0.5, cx=0.5, cy=0.5):
@@ -60,6 +60,29 @@ class TestVoxelize:
         cloud = geo.PointCloud(pts, sample_id="s7")
         with pytest.raises(NonFinite, match="cloud 's7': point 1 "):
             geo.voxelize(cloud, geo.default_grid_config(), seed=0)
+
+    def test_grid_too_large_for_the_sort_key_is_refused(self):
+        cfg = geo.VoxelGridConfig((0, 0, 0), (1e4, 1e4, 1e4), (1e-3, 1e-3, 1e-3), 4)
+        cloud = geo.PointCloud(np.array([[1.0, 2.0, 3.0]]), sample_id="s7")
+        with pytest.raises(TooLarge, match=r"cloud 's7' on grid \(10000000, 10000000, "
+                                           r"10000000\): 1000000000000000000000 cells x 1 keys"):
+            geo.voxelize(cloud, cfg, seed=0)
+
+    def test_sort_key_bound_is_cells_times_points(self):
+        # 2**60 cells: 7 points keep every composite key below 2**63, 8 do not
+        edge = 2 ** 20
+        cfg = geo.VoxelGridConfig((0, 0, 0), (edge,) * 3, (1, 1, 1), 2)
+        pts = np.array([[edge - 0.5] * 3, [0.5] * 3, [edge - 0.5] * 3, [7.5, edge - 1.5, 3.5],
+                        [edge - 0.5] * 3, [0.5] * 3, [7.5, edge - 1.5, 3.5]])
+        grid = geo.voxelize(geo.PointCloud(pts), cfg, seed=1)
+        blocks, counts, coords = voxelize_per_voxel(
+            pts, cfg.range_min, cfg.range_max, cfg.voxel_size, cfg.grid_dims, 2, 1)
+        assert np.array_equal(grid.points,
+                              np.concatenate([blocks[v, :c] for v, c in enumerate(counts)]))
+        assert np.array_equal(grid.valid_counts, counts)
+        assert np.array_equal(grid.coords, coords)
+        with pytest.raises(TooLarge, match="2\\*\\*63"):
+            geo.voxelize(geo.PointCloud(np.vstack([pts, pts[:1]])), cfg, seed=1)
 
     def test_partition_against_per_point_oracle(self):
         cfg = geo.VoxelGridConfig((0, -2, -2), (4, 2, 2), (0.5, 0.5, 0.5),

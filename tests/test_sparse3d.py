@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import (dense_conv3d, l2norm, occupied_pair_count, receptive_field_mask,
-                     sparse_conv3d, voxelize_per_voxel)
+from oracles import (dense_conv3d, l2norm, occupied_pair_count, plan_nonzero_unique,
+                     receptive_field_mask, sparse_conv3d, voxelize_per_voxel)
 from vxp import autodiff as ad
 from vxp import sparse3d as s3
 from vxp.autodiff import Tensor
@@ -164,12 +164,27 @@ class TestSparseConv:
             plan = s3.plan_sparse_conv(coords, dims, kernel_size, stride)
             assert len(plan.rules) == kernel_size ** 3
             for (in_rows, out_rows), offset in zip(plan.rules, offsets):
-                assert np.unique(in_rows).size == in_rows.size
+                assert np.all(np.diff(in_rows) > 0)  # ascending, so each row once
                 assert np.unique(out_rows).size == out_rows.size
                 assert np.array_equal(coords[in_rows],
                                       plan.out_coords[out_rows] * stride + offset - pad)
             total = sum(in_rows.size for in_rows, _ in plan.rules)
             assert total == occupied_pair_count(coords, plan.out_coords, kernel_size, stride)
+            # output rows in ascending flat-key order
+            assert np.all(np.diff(np.ravel_multi_index(plan.out_coords.T, plan.out_dims)) > 0)
+
+    def test_plan_too_large_for_the_sort_key_is_refused(self):
+        # 2**60 output cells: 7 pairs fit below 2**63, 27 (one site, k = 3) do not
+        coords = np.array([[0, 0, 0], [5, 1, 9], [2 ** 20 - 1] * 3, [3, 3, 3],
+                           [0, 2 ** 20 - 1, 0], [1, 0, 0], [9, 9, 8]], dtype=np.int64)
+        dims = (2 ** 20,) * 3
+        plan = s3.plan_sparse_conv(coords, dims, 1, 1)
+        out_coords, rules = plan_nonzero_unique(coords, dims, 1, 1)
+        assert np.array_equal(plan.out_coords, out_coords)
+        assert all(np.array_equal(a, b) for a, b in zip(plan.rules[0], rules[0]))
+        with pytest.raises(TooLarge, match=r"conv plan from grid \(1048576, 1048576, "
+                                           r"1048576\) to .*x 27 keys"):
+            s3.plan_sparse_conv(coords[3:4], dims, 3, 1)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_shift_into_large_grid(self, stride):
