@@ -12,6 +12,12 @@ its values to the active dtype, primitives allocate in their input's dtype,
 and ``Tape.backward`` stores each gradient in its tensor's dtype, so nothing
 is silently promoted to float64 inside a float32 region.
 
+The row-moving primitives (gather_rows, rulebook_matmul, segment_max,
+segment_sum) read rows with ndarray.take and write them by whole-row
+assignment. take copies the values fancy indexing copies, bit for bit, in
+a fraction of the time; an indexed += is itself a get, an add and a set,
+so it is spelled out as such.
+
 Conventions fixed here so tests are deterministic:
   * ReLU gradient at exactly 0 is 0.
   * backward() overwrites .grad on every reachable requires_grad tensor and
@@ -235,7 +241,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
-    return _finish(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+
+    def grad_fn(g):
+        # an operand that needs no gradient gets none (the VFE's constant
+        # points, stage 1's block-0 patches); read at backward time, as
+        # Tape.backward reads requires_grad
+        return (g @ bv.T if a.requires_grad else None,
+                av.T @ g if b.requires_grad else None)
+
+    return _finish(av @ bv, (a, b), grad_fn)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -303,7 +317,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows of an (n, d) matrix; scatter-add gradient handles repeats."""
     idx = np.asarray(idx, dtype=np.intp)
     n = a.shape[0]
-    return _finish(a.values[idx], (a,),
+    return _finish(a.values.take(idx, axis=0), (a,),
                    lambda g: (_scatter_add_rows(g, idx, n),))
 
 
@@ -358,8 +372,9 @@ def rulebook_matmul(a: Tensor, kernel: Tensor,
     """Sum over offsets d of a[in_d] @ W_d scattered into rows out_d.
 
     kernel is (len(rules) * c_in, c_out) with W_d its d-th block of c_in rows.
-    Within one offset every row of in_d and of out_d appears at most once,
-    so plain indexed adds are exact: no pad row, no np.add.at.
+    Per offset the output rows are taken, the product added and the rows
+    assigned back. Within one offset every row of in_d and of out_d appears
+    at most once, so this get-add-set is exact: no pad row, no np.add.at.
     """
     av, kv = a.values, kernel.values
     if av.ndim != 2 or kv.ndim != 2 or kv.shape[0] != len(rules) * av.shape[1]:
@@ -369,15 +384,19 @@ def rulebook_matmul(a: Tensor, kernel: Tensor,
     blocks = [kv[d * c_in:(d + 1) * c_in] for d in range(len(rules))]
     out = np.zeros((num_rows, kv.shape[1]), dtype=av.dtype)
     for (i, o), w in zip(rules, blocks):
-        out[o] += av[i] @ w
+        y = out.take(o, axis=0)
+        y += av.take(i, axis=0) @ w
+        out[o] = y
 
     def grad_fn(g):
         ga = np.zeros_like(av)
         gk = np.empty_like(kv)
         for d, ((i, o), w) in enumerate(zip(rules, blocks)):
-            go = g[o]
-            ga[i] += go @ w.T
-            gk[d * c_in:(d + 1) * c_in] = av[i].T @ go
+            go = g.take(o, axis=0)
+            x = ga.take(i, axis=0)
+            x += go @ w.T
+            ga[i] = x
+            gk[d * c_in:(d + 1) * c_in] = av.take(i, axis=0).T @ go
         return ga, gk
 
     return _finish(out, (a, kernel), grad_fn)
@@ -403,21 +422,21 @@ def segment_max(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     first = starts[by_len]
     # longer[s] = number of segments with more than s rows
     longer = np.searchsorted(-lengths[by_len], -np.arange(lengths.max()))
-    acc = av[first]
+    acc = av.take(first, axis=0)
     for s, k in enumerate(longer[1:], start=1):
-        np.maximum(acc[:k], av[first[:k] + s], out=acc[:k])
+        np.maximum(acc[:k], av.take(first[:k] + s, axis=0), out=acc[:k])
     out = np.empty_like(acc)
     out[by_len] = acc
 
     def grad_fn(g):
         # walking the slots upward, a column's gradient goes to the first
         # maximal row not yet claimed; every row is written exactly once
-        g = g[by_len]
+        g = g.take(by_len, axis=0)
         buf = np.empty_like(av)
         unclaimed = np.ones(acc.shape, dtype=bool)
         for s, k in enumerate(longer):
             rows = first[:k] + s
-            hit = (av[rows] == acc[:k]) & unclaimed[:k]
+            hit = (av.take(rows, axis=0) == acc[:k]) & unclaimed[:k]
             unclaimed[:k] &= ~hit
             buf[rows] = np.where(hit, g[:k], 0.0)
         return (buf,)
@@ -430,7 +449,7 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     seg = np.asarray(segment_ids, dtype=np.intp)
     starts = np.searchsorted(seg, np.arange(num_segments))
     out = np.add.reduceat(a.values, starts, axis=0)
-    return _finish(out, (a,), lambda g: (g[seg],))
+    return _finish(out, (a,), lambda g: (g.take(seg, axis=0),))
 
 
 # --- gradient oracle ---

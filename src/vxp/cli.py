@@ -25,15 +25,21 @@ from .geometry import default_grid_config
 from .synthetic import SyntheticSceneParams, synthetic_training_set
 from .trainer import StageConfig
 
-# option key -> (StageConfig field, cast); the defaults are StageConfig's
+# (predicate, wording) requirements for _Resolved.get
+_AT_LEAST_1 = (lambda n: n >= 1, ">= 1")
+_FINITE_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a finite value > 0")
+# option key -> (StageConfig field, cast, requirement); the defaults are
+# StageConfig's, and the requirements are the ones StageConfig checks
 _STAGE_OPTIONS = {
-    "epochs": ("epochs", int), "lr": ("base_lr", float), "lr_decay": ("lr_decay", float),
-    "batch_size": ("batch_size", int), "seed": ("seed", int),
-    "local_loss_mode": ("local_loss_mode", str), "projection": ("projection", str),
-    "descriptor_dim": ("descriptor_dim", int), "feature_dim": ("feature_dim", int),
-    "vfe_dim": ("vfe_dim", int),
+    "epochs": ("epochs", int, _AT_LEAST_1), "lr": ("base_lr", float, _FINITE_POSITIVE),
+    "lr_decay": ("lr_decay", float, _FINITE_POSITIVE),
+    "batch_size": ("batch_size", int, None), "seed": ("seed", int, None),
+    "local_loss_mode": ("local_loss_mode", str, None),
+    "projection": ("projection", str, None),
+    "descriptor_dim": ("descriptor_dim", int, _AT_LEAST_1),
+    "feature_dim": ("feature_dim", int, _AT_LEAST_1), "vfe_dim": ("vfe_dim", int, _AT_LEAST_1),
 }
-_DEFAULTS = {key: getattr(StageConfig, name) for key, (name, _) in _STAGE_OPTIONS.items()}
+_DEFAULTS = {key: getattr(StageConfig, name) for key, (name, *_) in _STAGE_OPTIONS.items()}
 _DEFAULTS.update(traversals=2, radius=retrieval.EvalProtocol.success_radius_m,
                  recall="1,1pct")
 # option key -> allowed values, for the flag and the config file alike
@@ -117,7 +123,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _Resolved(args)
     seed = cfg.get("seed", int)
-    traversals = cfg.get("traversals", int, (lambda n: n >= 1, ">= 1"))
+    traversals = cfg.get("traversals", int, _AT_LEAST_1)
     if args.scenes < 1:
         raise VxpError(f"--scenes: {args.scenes} is not >= 1")
     cfg.print_if_requested()
@@ -132,7 +138,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _stage_config(args: argparse.Namespace, cfg: _Resolved) -> StageConfig:
     return StageConfig(stage=args.stage, **{
-        name: cfg.get(key, cast) for key, (name, cast) in _STAGE_OPTIONS.items()})
+        name: cfg.get(key, cast, require)
+        for key, (name, cast, require) in _STAGE_OPTIONS.items()})
 
 
 def cmd_train(args: argparse.Namespace) -> int:

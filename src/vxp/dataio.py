@@ -364,12 +364,18 @@ def read_descriptors(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_checkpoint(path, params: dict[str, Tensor]) -> None:
     """VXPC: magic, version u16, then per tensor: name length u16, UTF-8 name,
-    rank u8, extents u32 each, float64 values. Records run to EOF."""
+    rank u8, extents u32 each, float64 values. Records run to EOF.
+
+    Refuses what read_checkpoint would refuse: a tensor with a non-finite
+    value raises NonFinite naming it, before any byte is written.
+    """
     out = bytearray()
     out += VXPC_MAGIC
     out += struct.pack("<H", 1)
     for name in sorted(params):
         values = params[name].values
+        if not np.isfinite(values).all():
+            raise NonFinite(f"{path}: tensor {name!r} has non-finite values")
         encoded = name.encode("utf-8")
         out += struct.pack("<H", len(encoded))
         out += encoded

@@ -129,20 +129,24 @@ def voxelize(cloud: PointCloud, config: VoxelGridConfig, seed: int) -> VoxelGrid
         raise NonFinite(f"cloud {cloud.sample_id!r}: point {point} is not finite")
     lo, hi, size, dims = config.range_min, config.range_max, config.voxel_size, config.grid_dims
 
-    idx = np.floor((pts - lo) / size).astype(np.int64)
-    # pts >= lo already gives idx >= 0; idx < dims guards rounding at hi
+    # cull on the coordinates before the int cast: a far-away finite point
+    # would not fit an int64
     keep = np.ones(pts.shape[0], dtype=bool)
     for axis in range(3):
         keep &= pts[:, axis] >= lo[axis]
         keep &= pts[:, axis] < hi[axis]
-        keep &= idx[:, axis] < dims[axis]
-    if not keep.any():
-        raise AllPointsCulled("no point inside the configured range")
     # kept rows by index and take(): boolean or fancy indexing of (N, 3) rows is slower
     rows = np.flatnonzero(keep)
+    idx = np.floor((pts.take(rows, axis=0) - lo) / size).astype(np.int64)
+    # pts >= lo already gives idx >= 0; idx < dims guards rounding at hi
+    over = (idx[:, 0] >= dims[0]) | (idx[:, 1] >= dims[1]) | (idx[:, 2] >= dims[2])
+    if over.any():
+        rows, idx = rows[~over], idx[~over]
+    if rows.size == 0:
+        raise AllPointsCulled("no point inside the configured range")
     flat = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
     order, flat_sorted = stable_key_order(
-        flat.take(rows), math.prod(dims), f"cloud {cloud.sample_id!r} on grid {dims}")
+        flat, math.prod(dims), f"cloud {cloud.sample_id!r} on grid {dims}")
     # voxel runs of the sorted keys
     starts = np.flatnonzero(np.r_[True, flat_sorted[1:] != flat_sorted[:-1]])
     counts = np.diff(np.r_[starts, flat_sorted.shape[0]])

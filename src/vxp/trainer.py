@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -72,8 +73,17 @@ class StageConfig:
     def __post_init__(self):
         if self.stage not in ("image", "local", "global"):
             raise ValueError(f"unknown stage {self.stage!r}")
-        if self.epochs < 1 or self.base_lr <= 0:
-            raise ValueError("epochs >= 1 and base_lr > 0 required")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, not {self.epochs!r}")
+        for name in ("base_lr", "lr_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite value > 0, not {value!r}")
+        for name in ("descriptor_dim", "feature_dim", "vfe_dim", "conv_channels",
+                     "image_channels"):
+            value = getattr(self, name)  # a width or a tuple of widths
+            if value is not None and min(np.ravel(value), default=1) < 1:
+                raise ValueError(f"{name} must be >= 1, not {value!r}")
         if self.projection not in PROJECTIONS:
             raise ValueError(f"unknown projection {self.projection!r}")
         if self.local_loss_mode not in LOCAL_LOSS_MODES:

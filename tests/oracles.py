@@ -4,8 +4,11 @@ Everything here is written from first principles with scalar math or plain
 dense numpy, deliberately sharing no code with the package under test. The
 exceptions are sparse_conv3d, the plan-then-apply composition that tests
 use as a one-call sparse convolution (it is checked against dense_conv3d),
-and the autodiff ops l2norm, the gradient suite's scalarizer, and
-segment_max_reduceat.
+and the autodiff ops l2norm, the gradient suite's scalarizer, and the
+row-op references segment_max_reduceat, segment_sum_reduceat,
+gather_rows_fancy and rulebook_matmul_fancy (the last two move rows with
+fancy indexing and indexed +=, the spelling the library's take-based ops
+must match bit for bit).
 """
 
 import math
@@ -286,3 +289,42 @@ def l2norm(a):
     av = a.values
     denom = n if n > 0.0 else 1.0
     return ad._finish(np.asarray(n, dtype=av.dtype), (a,), lambda g: (g * av / denom,))
+
+
+def segment_sum_reduceat(a, segment_ids, num_segments):
+    """Per-segment column-wise sum by np.add.reduceat; the gradient is the
+    segment's output gradient, read by fancy indexing."""
+    seg = np.asarray(segment_ids, dtype=np.intp)
+    starts = np.searchsorted(seg, np.arange(num_segments))
+    out = np.add.reduceat(a.values, starts, axis=0)
+    return ad._finish(out, (a,), lambda g: (g[seg],))
+
+
+def gather_rows_fancy(a, idx):
+    """Rows of a by fancy indexing; the gradient is the library's row
+    scatter-add, which sums repeats."""
+    idx = np.asarray(idx, dtype=np.intp)
+    n = a.shape[0]
+    return ad._finish(a.values[idx], (a,), lambda g: (ad._scatter_add_rows(g, idx, n),))
+
+
+def rulebook_matmul_fancy(a, kernel, rules, num_rows):
+    """Sum over offsets d of a[in_d] @ W_d added into rows out_d, with fancy
+    indexing and indexed += in the forward and both gradients."""
+    av, kv = a.values, kernel.values
+    c_in = av.shape[1]
+    blocks = [kv[d * c_in:(d + 1) * c_in] for d in range(len(rules))]
+    out = np.zeros((num_rows, kv.shape[1]), dtype=av.dtype)
+    for (i, o), w in zip(rules, blocks):
+        out[o] += av[i] @ w
+
+    def grad_fn(g):
+        ga = np.zeros_like(av)
+        gk = np.empty_like(kv)
+        for d, ((i, o), w) in enumerate(zip(rules, blocks)):
+            go = g[o]
+            ga[i] += go @ w.T
+            gk[d * c_in:(d + 1) * c_in] = av[i].T @ go
+        return ga, gk
+
+    return ad._finish(out, (a, kernel), grad_fn)

@@ -314,3 +314,95 @@ def test_segment_max_matches_reduceat_oracle(dtype, values):
                 assert out.values.dtype == probe.grad.dtype == dtype
                 results.append((out.values.tobytes(), probe.grad.tobytes()))
         assert results[0] == results[1]
+
+
+def _grad_bytes(op, arrays, g, dtype):
+    """Bytes of op(*tensors) and of each tensor's gradient under the upstream
+    gradient g, computed in dtype."""
+    with ad.precision(dtype):
+        probes = [ad.Tensor(x, requires_grad=True) for x in arrays]
+        with ad.Tape() as tape:
+            out = op(*probes)
+            tape.backward(ad.tsum(ad.cmul(out, g)))
+    assert out.values.dtype == dtype
+    return [out.values.tobytes()] + [p.grad.tobytes() for p in probes]
+
+
+def _values(rng, shape, seed):
+    # odd seeds draw small integers with signed zeros, so exact zeros and
+    # their signs are compared too
+    if seed % 2:
+        x = rng.integers(-2, 3, size=shape).astype(np.float64)
+        x[(x == 0) & (rng.random(shape) < 0.5)] = -0.0
+        return x
+    return rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rulebook_matmul_matches_fancy_index_oracle(dtype):
+    # random rulebooks with empty offsets, output rows that no offset
+    # touches and single-row inputs
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        t_in = 1 if seed % 5 == 0 else int(rng.integers(1, 40))
+        t_out = int(rng.integers(1, 40))
+        num_rows = t_out + int(rng.integers(0, 4))
+        rules = []
+        for _ in range(int(rng.integers(1, 10))):
+            m = 0 if rng.random() < 0.3 else int(rng.integers(0, min(t_in, t_out) + 1))
+            rules.append((rng.choice(t_in, m, replace=False), rng.choice(t_out, m, replace=False)))
+        c_in, c_out = rng.integers(1, 7, size=2)
+        feats = _values(rng, (t_in, c_in), seed)
+        kernel = _values(rng, (len(rules) * c_in, c_out), seed)
+        g = _values(rng, (num_rows, c_out), seed)
+        got, want = (_grad_bytes(lambda a, k: op(a, k, rules, num_rows), [feats, kernel],
+                                 g, dtype)
+                     for op in (ad.rulebook_matmul, oracles.rulebook_matmul_fancy))
+        assert got == want
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gather_rows_matches_fancy_index_oracle(dtype):
+    # repeated indices; the large draws take the bincount scatter-add path
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = 1 if seed % 5 == 0 else int(rng.integers(1, 30))
+        m = int(rng.integers(0, 2000 if seed % 3 == 0 else 40))
+        idx = rng.integers(0, n, size=m)
+        x = _values(rng, (n, 4), seed)
+        g = _values(rng, (m, 4), seed)
+        got, want = (_grad_bytes(lambda a: op(a, idx), [x], g, dtype)
+                     for op in (ad.gather_rows, oracles.gather_rows_fancy))
+        assert got == want
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_segment_ops_match_fancy_index_oracles(dtype):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        t = 1 if seed % 5 == 0 else int(rng.integers(1, 40))
+        lengths = np.ones(t, dtype=int) if seed % 5 == 0 else rng.integers(1, 6, size=t)
+        seg = np.repeat(np.arange(t), lengths)
+        x = _values(rng, (seg.size, 5), seed)
+        g = _values(rng, (t, 5), seed)
+        for op, ref in ((ad.segment_max, oracles.segment_max_reduceat),
+                        (ad.segment_sum, oracles.segment_sum_reduceat)):
+            got, want = (_grad_bytes(lambda a: f(a, seg, t), [x], g, dtype)
+                         for f in (op, ref))
+            assert got == want
+
+
+def test_matmul_gives_no_gradient_to_operands_without_requires_grad():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    g = rng.normal(size=(3, 2))
+    const = ad.Tensor(a)
+    weight = ad.Tensor(b, requires_grad=True)
+    with ad.Tape() as tape:
+        ad.matmul(const, weight)
+    (entry,) = tape.entries
+    ga, gb = entry.grad_fn(g)
+    assert ga is None and gb.tobytes() == (a.T @ g).tobytes()
+    # requires_grad is read when the gradient is taken, as Tape.backward does
+    weight.requires_grad = False
+    assert entry.grad_fn(g) == (None, None)

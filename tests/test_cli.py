@@ -203,6 +203,34 @@ def test_train_stage_needs_resume(tiny_pipeline):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--lr", "nan", "--lr: nan is not a finite value > 0"),
+    ("--lr-decay", "inf", "--lr-decay: inf is not a finite value > 0"),
+    ("--descriptor-dim", "0", "--descriptor-dim: 0 is not >= 1"),
+    ("--feature-dim", "-1", "--feature-dim: -1 is not >= 1"),
+    ("--epochs", "0", "--epochs: 0 is not >= 1"),
+])
+def test_train_refuses_values_training_cannot_use(tiny_pipeline, tmp_path, capsys,
+                                                  flag, value, message):
+    out = tmp_path / "x.vxpc"
+    assert run(["train", "--stage", "image", "--manifest", tiny_pipeline["manifest"],
+                "--calib", tiny_pipeline["calib"], "--out", str(out), "--epochs", "1",
+                flag, value]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_config_value_training_cannot_use_is_located(tiny_pipeline, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\nlr_decay=-0.5\n")
+    out = tmp_path / "x.vxpc"
+    assert run(["train", "--stage", "image", "--manifest", tiny_pipeline["manifest"],
+                "--calib", tiny_pipeline["calib"], "--out", str(out),
+                "--config", str(cfg)]) == 1
+    assert "run.cfg:2: lr_decay: -0.5 is not a finite value > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_checkpoints_and_history_exist(tiny_pipeline):
     for ck in tiny_pipeline["ck"]:
         assert Path(ck).exists()

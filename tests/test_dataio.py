@@ -398,11 +398,24 @@ class TestCheckpointFile:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_value_rejected(self, tmp_path, value):
         p = tmp_path / "c.vxpc"
-        w = np.ones((2, 3))
-        w[1, 2] = value
-        dataio.write_checkpoint(p, {"a": Tensor(np.ones(3)), "b.w": Tensor(w)})
+        dataio.write_checkpoint(p, {"a": Tensor(np.ones(3)), "b.w": Tensor(np.ones((2, 3)))})
+        # the writer refuses non-finite values, so patch b.w[1, 2], the last value
+        p.write_bytes(p.read_bytes()[:-8] + struct.pack("<d", value))
         with pytest.raises(NonFinite, match="'b.w'"):
             dataio.read_checkpoint(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_writer_refuses_non_finite_value_before_writing(self, tmp_path, value):
+        w = np.ones((2, 3), dtype=np.float32)
+        w[1, 2] = value
+        params = {"a": Tensor(np.ones(3)), "b.w": Tensor(w)}
+        old, new = tmp_path / "old.vxpc", tmp_path / "new.vxpc"
+        old.write_bytes(b"previous")
+        for p in (old, new):
+            with pytest.raises(NonFinite, match=f"{p.name}: tensor 'b.w' has non-finite"):
+                dataio.write_checkpoint(p, params)
+        assert old.read_bytes() == b"previous"
+        assert not new.exists()
 
     @pytest.mark.parametrize("extents", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 31, 2 ** 31, 4)],
                              ids=["u32_max_squared", "2e31_squared_x4"])

@@ -1,5 +1,7 @@
 """Voxelization and projection against hand values and the scalar oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,29 @@ class TestVoxelize:
             geo.voxelize(geo.PointCloud(np.zeros((0, 3))), cfg, seed=0)
         with pytest.raises(AllPointsCulled):
             geo.voxelize(geo.PointCloud(np.array([[99.0, 99.0, 99.0]])), cfg, seed=0)
+
+    def test_far_finite_point_culled_without_a_cast_warning(self):
+        # floor(1e30 / size) does not fit an int64; the point is culled
+        # before any cast, so numpy warns of no invalid cast
+        cfg = geo.default_grid_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = geo.voxelize(geo.PointCloud(np.array([[1.0, 0.0, 0.0],
+                                                         [1e30, 0.0, 0.0]])), cfg, seed=0)
+        want = geo.voxelize(geo.PointCloud(np.array([[1.0, 0.0, 0.0]])), cfg, seed=0)
+        assert grid.num_voxels == 1
+        for name in ("points", "valid_counts", "coords"):
+            assert getattr(grid, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_point_rounding_onto_the_upper_face_discarded(self):
+        # x = 3 + 5e-11 lies below range_max = 3 + 1e-10 but floors to
+        # cell 3 of a grid 3 cells wide
+        cfg = geo.VoxelGridConfig((0, 0, 0), (3 + 1e-10, 1, 1), (1, 1, 1), 4)
+        assert cfg.grid_dims == (3, 1, 1)
+        grid = geo.voxelize(geo.PointCloud(np.array([[3 + 5e-11, 0.5, 0.5],
+                                                     [0.5, 0.5, 0.5]])), cfg, seed=0)
+        assert grid.coords.tolist() == [[0, 0, 0]]
+        assert grid.points.tolist() == [[0.5, 0.5, 0.5]]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected(self, value):

@@ -89,6 +89,17 @@ def test_stage_config_rejects_an_unknown_choice(field):
         small_cfg("image", **{field: "foo"})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 0), ("base_lr", 0.0), ("base_lr", -1e-3), ("base_lr", float("nan")),
+    ("base_lr", float("inf")), ("lr_decay", 0.0), ("lr_decay", float("nan")),
+    ("lr_decay", float("inf")), ("descriptor_dim", 0), ("feature_dim", 0), ("vfe_dim", -1),
+    ("conv_channels", (8, 0)), ("image_channels", (0, 8)),
+])
+def test_stage_config_rejects_values_training_cannot_use(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        small_cfg("image", **{field: value})
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset():
     return synthetic_training_set(SCENE, scene_seeds=range(6), traversals=2,
