@@ -1,4 +1,4 @@
-"""Command-line pipeline: synth / train / extract / index / eval / plot.
+"""Command-line pipeline: synth / train / extract / eval / plot.
 
 Option precedence for synth, train, extract and eval is flags > config file
 (key=value lines) > built-in defaults; `--print-config` echoes the resolved
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import constants, heads, losses, retrieval, trainer
+from . import constants, heads, retrieval, trainer
 from . import dataio
 from .errors import VxpError
 from .geometry import default_grid_config
@@ -33,8 +33,7 @@ _FINITE_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a finite value > 0")
 _STAGE_OPTIONS = {
     "epochs": ("epochs", int, _AT_LEAST_1), "lr": ("base_lr", float, _FINITE_POSITIVE),
     "lr_decay": ("lr_decay", float, _FINITE_POSITIVE),
-    "batch_size": ("batch_size", int, None), "seed": ("seed", int, None),
-    "local_loss_mode": ("local_loss_mode", str, None),
+    "batch_size": ("batch_size", int, _AT_LEAST_1), "seed": ("seed", int, None),
     "projection": ("projection", str, None),
     "descriptor_dim": ("descriptor_dim", int, _AT_LEAST_1),
     "feature_dim": ("feature_dim", int, _AT_LEAST_1), "vfe_dim": ("vfe_dim", int, _AT_LEAST_1),
@@ -43,7 +42,7 @@ _DEFAULTS = {key: getattr(StageConfig, name) for key, (name, *_) in _STAGE_OPTIO
 _DEFAULTS.update(traversals=2, radius=retrieval.EvalProtocol.success_radius_m,
                  recall="1,1pct")
 # option key -> allowed values, for the flag and the config file alike
-_CHOICES = {"local_loss_mode": losses.LOCAL_LOSS_MODES, "projection": trainer.PROJECTIONS}
+_CHOICES = {"projection": trainer.PROJECTIONS}
 
 
 def _read_config_file(path: str | None) -> dict[str, tuple[str, str]]:
@@ -199,16 +198,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     ids = np.arange(len(rows), dtype=np.uint64)  # manifest row ordinals
     dataio.write_descriptors(args.out, ids, np.asarray(descriptors))
     print(f"extracted {len(rows)} {args.modality} descriptors to {args.out}")
-    return 0
-
-
-# --- index ---
-
-def cmd_index(args: argparse.Namespace) -> int:
-    ids, descs = dataio.read_descriptors(args.db)
-    order = np.argsort(ids, kind="stable")
-    dataio.write_descriptors(args.out, ids[order], descs[order])
-    print(f"indexed {len(ids)} descriptors to {args.out}")
     return 0
 
 
@@ -374,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor-dim", type=int, dest="descriptor_dim")
     p.add_argument("--feature-dim", type=int, dest="feature_dim")
     p.add_argument("--vfe-dim", type=int, dest="vfe_dim")
-    p.add_argument("--local-loss-mode", choices=_CHOICES["local_loss_mode"],
-                   dest="local_loss_mode")
     p.add_argument("--projection", choices=_CHOICES["projection"])
     _add_common(p)
     p.set_defaults(func=cmd_train)
@@ -388,11 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_extract)
-
-    p = subs.add_parser("index", help="validate and sort a descriptor file")
-    p.add_argument("--db", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_index)
 
     p = subs.add_parser("eval", help="recall evaluation")
     p.add_argument("--query", required=True)

@@ -1,20 +1,13 @@
 """Training objectives: batch-hard triplet, local alignment, global alignment.
 
 The local alignment loss compares projected voxel descriptors with image
-features at the pixels they land on. Two interpretations of the inverse-depth
-weighting are provided:
-
-  * "collision_normalized" (default): inverse depths are normalized per pixel
-    into convex weights applied to each entry's residual loss, so closer
-    voxels dominate a collision while every colliding voxel still receives
-    gradient. Each voxel feature is pulled toward the image feature itself,
-    so voxel and image features share one space, as the global stage needs.
-  * "depth_scaled": the inverse depth scales the voxel feature inside the
-    residual, i.e. smooth_l1(d * voxel_feat - image_feat). Its minimum puts
-    each voxel feature at depth times the image feature, 8-38x the image
-    feature scale on the synthetic scenes, outside the image feature space.
-
-Both keep all collision entries; nothing is z-buffered away.
+features at the pixels they land on. Inverse depths are normalized per pixel
+into convex weights applied to each entry's smooth-L1 residual, so closer
+voxels dominate a collision while every colliding voxel still receives
+gradient; nothing is z-buffered away. This is the repo's reading of the
+paper's inverse-depth weighting: the weight scales the residual, never the
+voxel feature, so the minimum stays in the image feature space, the space
+the global stage needs voxel and image features to share.
 """
 
 from __future__ import annotations
@@ -30,8 +23,6 @@ from .autodiff import Tensor
 from .errors import NoCorrespondences, NoNegative, NoPositive, ShapeMismatch
 from .geometry import ProjectedFeatureMap
 from .heads import ImageFeatureMap
-
-LOCAL_LOSS_MODES = ("depth_scaled", "collision_normalized")
 
 
 def pairwise_l2(values: np.ndarray) -> np.ndarray:
@@ -139,29 +130,22 @@ def smooth_l1(x: Tensor) -> Tensor:
 
 
 def local_descriptor_loss(projected: ProjectedFeatureMap, voxel_feats: Tensor,
-                          image_map: ImageFeatureMap,
-                          mode: str = "collision_normalized") -> Tensor:
-    """Alignment loss between projected voxel descriptors and image features.
+                          image_map: ImageFeatureMap) -> Tensor:
+    """Sum over entries of the smooth-L1 residual between a projected voxel
+    descriptor and the image feature at its pixel, weighted by the entry's
+    inverse depth over the total inverse depth at that pixel.
 
-    Gradients reach every projected voxel in both modes, including all
-    members of a collision set.
+    Gradients reach every projected voxel, including all members of a
+    collision set.
     """
-    if mode not in LOCAL_LOSS_MODES:
-        raise ValueError(f"unknown local loss mode {mode!r}")
     if projected.num_entries == 0:
         raise NoCorrespondences("no projected entries")
     if projected.width != image_map.width or projected.height != image_map.height:
         raise ShapeMismatch("projected map and image map dims differ")
 
-    v_feats = ad.gather_rows(voxel_feats, projected.voxel_index)
-    i_feats = ad.gather_rows(image_map.feats, projected.pixel_flat())
-
-    if mode == "depth_scaled":
-        residual = ad.sub(ad.scale_rows(v_feats, projected.inverse_depth), i_feats)
-        return smooth_l1(residual)
-
-    # collision_normalized: convex per-pixel weights from inverse depths
     flat = projected.pixel_flat()
+    v_feats = ad.gather_rows(voxel_feats, projected.voxel_index)
+    i_feats = ad.gather_rows(image_map.feats, flat)
     totals = np.zeros(image_map.width * image_map.height)
     np.add.at(totals, flat, projected.inverse_depth)
     weights = projected.inverse_depth / totals[flat]

@@ -37,7 +37,7 @@ from .errors import (AllPointsCulled, DegenerateDataset, EmptyCloud,
 from .geometry import (ProjectedFeatureMap, VoxelGrid, VoxelGridConfig,
                        default_grid_config, orthographic_project, project_voxels,
                        voxelize)
-from .losses import LOCAL_LOSS_MODES, TrainingBatch
+from .losses import TrainingBatch
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +60,6 @@ class StageConfig:
     lr_decay: float = 0.9  # per-epoch multiplier is lr_decay ** epoch
     batch_size: int = 32
     seed: int = 0
-    local_loss_mode: str = "collision_normalized"  # one of LOCAL_LOSS_MODES
     projection: str = "perspective"  # one of PROJECTIONS; orthographic is the ablation
     image_gain: float = 1.0
     augment_shift_px: int = 0  # stage 1 only: random +-px translations
@@ -73,21 +72,17 @@ class StageConfig:
     def __post_init__(self):
         if self.stage not in ("image", "local", "global"):
             raise ValueError(f"unknown stage {self.stage!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, not {self.epochs!r}")
         for name in ("base_lr", "lr_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite value > 0, not {value!r}")
-        for name in ("descriptor_dim", "feature_dim", "vfe_dim", "conv_channels",
-                     "image_channels"):
-            value = getattr(self, name)  # a width or a tuple of widths
+        for name in ("epochs", "batch_size", "descriptor_dim", "feature_dim", "vfe_dim",
+                     "conv_channels", "image_channels"):
+            value = getattr(self, name)  # a count, a width or a tuple of widths
             if value is not None and min(np.ravel(value), default=1) < 1:
                 raise ValueError(f"{name} must be >= 1, not {value!r}")
         if self.projection not in PROJECTIONS:
             raise ValueError(f"unknown projection {self.projection!r}")
-        if self.local_loss_mode not in LOCAL_LOSS_MODES:
-            raise ValueError(f"unknown local loss mode {self.local_loss_mode!r}")
 
 
 def lr_schedule(epoch: int, base_lr: float, decay: float = 0.9) -> float:
@@ -170,6 +165,13 @@ def init_image_params(cfg: StageConfig, rng: np.random.Generator) -> dict[str, T
     return params
 
 
+def _tensor(params: dict[str, Tensor], name: str) -> Tensor:
+    """params[name]; a checkpoint that lacks it is an error naming it."""
+    if name not in params:
+        raise DegenerateDataset(f"checkpoint lacks tensor {name!r}")
+    return params[name]
+
+
 def image_branch_from(params: dict[str, Tensor]
                       ) -> tuple[heads.ImageEncoderParams, heads.GemFcnParams]:
     blocks_w, blocks_b = [], []
@@ -178,15 +180,14 @@ def image_branch_from(params: dict[str, Tensor]
         if key not in params:
             break
         blocks_w.append(params[key])
-        blocks_b.append(params[f"image.encoder.block{i}.b"])
+        blocks_b.append(_tensor(params, f"image.encoder.block{i}.b"))
     if not blocks_w:
         raise DegenerateDataset("checkpoint lacks image encoder parameters")
     encoder = heads.ImageEncoderParams(
         block_w=blocks_w, block_b=blocks_b,
         input_gain=params.get("image.encoder.input_gain"))
-    head = heads.GemFcnParams(p=params["image.head.p"],
-                              fc_w=params["image.head.fc_w"],
-                              fc_b=params["image.head.fc_b"])
+    head = heads.GemFcnParams(*(_tensor(params, f"image.head.{name}")
+                                for name in ("p", "fc_w", "fc_b")))
     return encoder, head
 
 
@@ -211,16 +212,16 @@ def init_backbone_into(params: dict[str, Tensor], cfg: StageConfig,
 
 
 def backbone_from(params: dict[str, Tensor]) -> sparse3d.BackboneParams:
-    vfe = sparse3d.VFEParams(w1=params["pc.backbone.vfe.w1"],
-                             b1=params["pc.backbone.vfe.b1"])
+    vfe = sparse3d.VFEParams(w1=_tensor(params, "pc.backbone.vfe.w1"),
+                             b1=_tensor(params, "pc.backbone.vfe.b1"))
     layers = []
     for i in range(16):
         key = f"pc.backbone.conv{i}.kernel"
         if key not in params:
             break
-        meta = params[f"pc.backbone.conv{i}.meta"].values
+        meta = _tensor(params, f"pc.backbone.conv{i}.meta").values
         layers.append(sparse3d.SparseConvLayer(
-            kernel=params[key], bias=params[f"pc.backbone.conv{i}.bias"],
+            kernel=params[key], bias=_tensor(params, f"pc.backbone.conv{i}.bias"),
             kernel_size=int(meta[0]), stride=int(meta[1])))
     return sparse3d.BackboneParams(vfe=vfe, layers=layers)
 
@@ -245,8 +246,8 @@ def copy_image_head_into(params: dict[str, Tensor]) -> heads.GemFcnParams:
 
 
 def pc_head_from(params: dict[str, Tensor]) -> heads.GemFcnParams:
-    return heads.GemFcnParams(p=params["pc.head.p"], fc_w=params["pc.head.fc_w"],
-                              fc_b=params["pc.head.fc_b"])
+    return heads.GemFcnParams(*(_tensor(params, f"pc.head.{name}")
+                                for name in ("p", "fc_w", "fc_b")))
 
 
 def require_groups(params: dict[str, Tensor], prefixes: list[str], stage: str) -> None:
@@ -491,8 +492,8 @@ def _fit_point_branch(dataset: TrainingSet, given: dict[str, Tensor], cfg: Stage
                         term = losses.global_descriptor_loss(prep.target, desc.vector)
                     else:
                         projected, image_map = prep.target
-                        term = losses.local_descriptor_loss(
-                            projected, fmap.feats, image_map, cfg.local_loss_mode)
+                        term = losses.local_descriptor_loss(projected, fmap.feats,
+                                                            image_map)
                     total = term if total is None else ad.add(total, term)
                 tape.backward(total)
             adam_step(trainable, state, lr)

@@ -85,8 +85,6 @@ def test_config_value_that_fails_its_cast_is_located(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,argv,allowed", [
     ("projection", ["train", "--stage", "image"], "perspective, orthographic"),
-    ("local_loss_mode", ["train", "--stage", "image"],
-     "depth_scaled, collision_normalized"),
 ])
 def test_config_value_outside_its_choices_is_located(tmp_path, capsys, key, argv, allowed):
     cfg = tmp_path / "run.cfg"
@@ -103,8 +101,10 @@ EVAL_ARGV = ["eval", "--query", "q.vxpd", "--db", "db.vxpd", "--query-manifest",
              "--db-manifest", "db.csv"]
 
 
-@pytest.mark.parametrize("line,key", [("metirc=L1", "metirc"), ("metric=L1", "metric")],
-                         ids=["misspelt", "deleted_metric"])
+@pytest.mark.parametrize("line,key", [
+    ("metirc=L1", "metirc"), ("metric=L1", "metric"),
+    ("local_loss_mode=collision_normalized", "local_loss_mode"),
+], ids=["misspelt", "deleted_metric", "deleted_local_loss_mode"])
 def test_config_key_no_subcommand_reads_is_located(tmp_path, capsys, line, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"seed=1\n{line}\n")  # seed is read by other subcommands: accepted
@@ -114,13 +114,23 @@ def test_config_key_no_subcommand_reads_is_located(tmp_path, capsys, line, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["index", "plot"])
 @pytest.mark.parametrize("flag", [["--config", "run.cfg"], ["--print-config"]])
-def test_index_and_plot_take_no_config_flags(tmp_path, command, flag):
-    io_flag = "--db" if command == "index" else "--in"
+def test_plot_takes_no_config_flags(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
-        run([command, io_flag, "x", "--out", str(tmp_path / "o"), *flag])
+        run(["plot", "--in", "x", "--out", str(tmp_path / "o"), *flag])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--stage", "local", "--manifest", "m.csv", "--calib", "c.vxpcal",
+     "--local-loss-mode", "collision_normalized"],
+    ["index", "--db", "db.vxpd"],
+], ids=["local_loss_mode", "index"])
+def test_deleted_flag_and_subcommand_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_vxp_seed_is_located(tmp_path, monkeypatch, capsys):
@@ -209,6 +219,8 @@ def test_train_stage_needs_resume(tiny_pipeline):
     ("--descriptor-dim", "0", "--descriptor-dim: 0 is not >= 1"),
     ("--feature-dim", "-1", "--feature-dim: -1 is not >= 1"),
     ("--epochs", "0", "--epochs: 0 is not >= 1"),
+    ("--batch-size", "0", "--batch-size: 0 is not >= 1"),
+    ("--batch-size", "-1", "--batch-size: -1 is not >= 1"),
 ])
 def test_train_refuses_values_training_cannot_use(tiny_pipeline, tmp_path, capsys,
                                                   flag, value, message):
@@ -231,6 +243,37 @@ def test_train_config_value_training_cannot_use_is_located(tiny_pipeline, tmp_pa
     assert not out.exists()
 
 
+def test_train_config_batch_size_below_1_is_located(tiny_pipeline, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# stage 2\nbatch_size=0\n")
+    out = tmp_path / "x.vxpc"
+    assert run(["train", "--stage", "local", "--manifest", tiny_pipeline["manifest"],
+                "--calib", tiny_pipeline["calib"], "--out", str(out),
+                "--resume", tiny_pipeline["ck"][0], "--config", str(cfg)]) == 1
+    assert "run.cfg:2: batch_size: 0 is not >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keep,argv,missing", [
+    (lambda n: n.startswith("image.encoder."), ["extract", "--modality", "2d"], "image.head.p"),
+    (lambda n: n in ("pc.backbone.vfe.w1", "pc.head.p"), ["extract", "--modality", "3d"],
+     "pc.backbone.vfe.b1"),
+    (lambda n: n.startswith("image.encoder."), ["train", "--stage", "local"], "image.head.p"),
+], ids=["extract_2d", "extract_3d", "train_local"])
+def test_checkpoint_missing_a_tensor_is_named(tiny_pipeline, tmp_path, capsys,
+                                              keep, argv, missing):
+    ckpt = tmp_path / "partial.vxpc"
+    params = dataio.read_checkpoint(tiny_pipeline["ck"][2])
+    dataio.write_checkpoint(ckpt, {n: t for n, t in params.items() if keep(n)})
+    source = ["--ckpt", str(ckpt)] if argv[0] == "extract" else \
+        ["--resume", str(ckpt), "--calib", tiny_pipeline["calib"]]
+    out = tmp_path / "out"
+    assert run([*argv, *source, "--manifest", tiny_pipeline["manifest"],
+                "--out", str(out)]) == 1
+    assert f"checkpoint lacks tensor {missing!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_checkpoints_and_history_exist(tiny_pipeline):
     for ck in tiny_pipeline["ck"]:
         assert Path(ck).exists()
@@ -243,13 +286,6 @@ def test_extracted_descriptor_dims(tiny_pipeline):
     ids3, descs3 = dataio.read_descriptors(tiny_pipeline["v3d"])
     assert descs3.shape == (12, 16)
     assert np.array_equal(ids, ids3)
-
-
-def test_index_sorts_and_round_trips(tiny_pipeline, tmp_path):
-    out = tmp_path / "indexed.vxpd"
-    assert run(["index", "--db", tiny_pipeline["v3d"], "--out", str(out)]) == 0
-    ids, _ = dataio.read_descriptors(out)
-    assert np.all(np.diff(ids.astype(np.int64)) >= 0)
 
 
 def test_eval_plain_writes_csv_and_curve(tiny_pipeline, tmp_path):

@@ -1,6 +1,7 @@
 """Doc/code parity: committed docs must match a fresh render, and the README
-walkthrough must parse with the CLI."""
+walkthrough and subcommand list must match the CLI."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -89,3 +90,11 @@ def test_readme_walkthrough_parses():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README walkthrough does not parse: vxp {shlex.join(argv)}")
+
+
+def test_readme_cli_row_names_every_subcommand():
+    readme = (DOCS_DIR.parent / "README.md").read_text()
+    row = next(line for line in readme.splitlines() if line.startswith("| `vxp.cli` |"))
+    listed = re.search(r"`vxp ([^`]*)`", row).group(1).split(" / ")
+    choices = re.search(r"\{([^}]*)\}", cli.build_parser().format_usage()).group(1)
+    assert listed == choices.split(",")

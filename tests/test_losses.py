@@ -187,26 +187,12 @@ class TestExpansion:
 
 
 class TestLocalLoss:
-    def test_exact_cancellation_depth_scaled(self):
-        proj = entries_map(1, 1, [0], [0], [0], [2.0])  # inverse depth 0.5
-        voxel = Tensor([[2.0]])
-        img = image_map([[[1.0]]])
-        out = losses.local_descriptor_loss(proj, voxel, img, "depth_scaled")
-        assert out.values == 0.0
-
-    def test_branch_boundary_depth_scaled(self):
-        proj = entries_map(1, 1, [0], [0], [0], [2.0])
-        voxel = Tensor([[4.0]])
-        img = image_map([[[1.0]]])
-        out = losses.local_descriptor_loss(proj, voxel, img, "depth_scaled")
-        assert out.values == pytest.approx(0.5)  # smooth_l1(1) on the linear edge
-
     def test_collision_weights_normalize(self):
         proj = entries_map(1, 1, [0, 0], [0, 0], [0, 1], [5.0, 10.0])
         voxel = Tensor([[3.0], [3.0]])
         img = image_map([[[1.0]]])
         # residual is 2.0 for both entries; huber(2) = 1.5 each
-        out = losses.local_descriptor_loss(proj, voxel, img, "collision_normalized")
+        out = losses.local_descriptor_loss(proj, voxel, img)
         weights = np.array([0.2, 0.1]) / 0.3
         assert np.allclose(weights, [2 / 3, 1 / 3])
         assert out.values == pytest.approx(1.5)  # convex combination of equal losses
@@ -215,20 +201,19 @@ class TestLocalLoss:
         proj = entries_map(1, 1, [0, 0], [0, 0], [0, 1], [5.0, 10.0])
         voxel = Tensor([[3.0], [0.5]])
         img = image_map([[[1.0]]])
-        out = losses.local_descriptor_loss(proj, voxel, img, "collision_normalized")
+        out = losses.local_descriptor_loss(proj, voxel, img)
         expected = (2 / 3) * 1.5 + (1 / 3) * 0.125
         assert out.values == pytest.approx(expected)
 
     def test_gradients_reach_all_colliding_voxels(self):
         proj = entries_map(1, 1, [0, 0], [0, 0], [0, 1], [5.0, 10.0])
         img = image_map([[[1.0]]])
-        for mode in losses.LOCAL_LOSS_MODES:
-            voxel = Tensor([[3.0], [0.5]], requires_grad=True)
-            with ad.Tape() as tape:
-                out = losses.local_descriptor_loss(proj, voxel, img, mode)
-                tape.backward(out)
-            assert voxel.grad is not None
-            assert np.all(voxel.grad != 0.0)
+        voxel = Tensor([[3.0], [0.5]], requires_grad=True)
+        with ad.Tape() as tape:
+            out = losses.local_descriptor_loss(proj, voxel, img)
+            tape.backward(out)
+        assert voxel.grad is not None
+        assert np.all(voxel.grad != 0.0)
 
     def test_no_correspondences(self):
         proj = entries_map(2, 2, [], [], [], [])
@@ -236,8 +221,7 @@ class TestLocalLoss:
             losses.local_descriptor_loss(proj, Tensor(np.zeros((1, 1))),
                                          image_map(np.zeros((2, 2, 1))))
 
-    @pytest.mark.parametrize("mode", losses.LOCAL_LOSS_MODES)
-    def test_gradient_vs_fd(self, mode):
+    def test_gradient_vs_fd(self):
         rng = np.random.default_rng(9)
         proj = entries_map(3, 2, [0, 1, 1, 2], [0, 0, 1, 1], [0, 1, 2, 3],
                            rng.uniform(2, 9, size=4))
@@ -245,7 +229,7 @@ class TestLocalLoss:
         voxel0 = rng.normal(size=(4, 4)) + 3.0  # away from huber kink at |x|=1
 
         def f(t):
-            return losses.local_descriptor_loss(proj, t, img, mode)
+            return losses.local_descriptor_loss(proj, t, img)
 
         assert ad.check_gradient(f, Tensor(voxel0)) < 1e-4
 

@@ -83,7 +83,7 @@ class TestLrSchedule:
             assert trainer.lr_schedule(e, 0.5, decay=1.0) == 0.5
 
 
-@pytest.mark.parametrize("field", ["projection", "local_loss_mode"])
+@pytest.mark.parametrize("field", ["projection"])
 def test_stage_config_rejects_an_unknown_choice(field):
     with pytest.raises(ValueError, match=f"unknown .*'foo'"):
         small_cfg("image", **{field: "foo"})
@@ -93,7 +93,8 @@ def test_stage_config_rejects_an_unknown_choice(field):
     ("epochs", 0), ("base_lr", 0.0), ("base_lr", -1e-3), ("base_lr", float("nan")),
     ("base_lr", float("inf")), ("lr_decay", 0.0), ("lr_decay", float("nan")),
     ("lr_decay", float("inf")), ("descriptor_dim", 0), ("feature_dim", 0), ("vfe_dim", -1),
-    ("conv_channels", (8, 0)), ("image_channels", (0, 8)),
+    ("conv_channels", (8, 0)), ("image_channels", (0, 8)), ("batch_size", 0),
+    ("batch_size", -1),
 ])
 def test_stage_config_rejects_values_training_cannot_use(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
