@@ -7,7 +7,9 @@ differentiated by a reverse walk. Ops record onto the innermost active
 same functions run as plain numpy (inference mode).
 
 One compute dtype is active at a time: float64 by default, float32 inside
-``precision(np.float32)``, which the training stages use. A ``Tensor`` casts
+``precision(np.float32)``, which the training stages use. The image encoder
+enters ``precision`` of its own weights' dtype, so it computes in float32 at
+inference as well as in training. A ``Tensor`` casts
 its values to the active dtype, primitives allocate in their input's dtype,
 and ``Tape.backward`` stores each gradient in its tensor's dtype, so nothing
 is silently promoted to float64 inside a float32 region.

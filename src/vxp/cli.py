@@ -10,6 +10,7 @@ config entry is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
@@ -154,6 +155,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise VxpError(f"stage {args.stage!r} needs --resume with the "
                            "previous stage's checkpoint")
         prev = dataio.read_checkpoint(args.resume)
+        with _located_in(args.resume):  # check the branches the stage resumes
+            trainer.image_branch_from(prev)
+            if args.stage == "global":
+                trainer.backbone_from(prev)
         if args.stage == "local":
             result = trainer.train_stage_local(dataset, prev, stage_cfg)
         else:
@@ -165,7 +170,35 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _located_in(path):
+    """A VxpError raised in the block (a checkpoint lacking a tensor, or
+    holding one of the wrong shape) names the file it came from."""
+    try:
+        yield
+    except VxpError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 # --- extract ---
+
+# Images per encode_images call: the batch bounds memory on large
+# manifests; a manifest this size or smaller is encoded as the test harness
+# encodes a dataset, in one batch, so both get the same bytes.
+_IMAGE_BATCH = 256
+
+
+def _image_batches(base: Path, rows):
+    """(B, H, W, 1) batches of consecutive manifest images of one size."""
+    batch = []
+    for row in rows:
+        image = dataio.load_image_raw(base / row.image_path)
+        if batch and (len(batch) == _IMAGE_BATCH or image.shape != batch[0].shape):
+            yield np.stack(batch)[..., None]
+            batch = []
+        batch.append(image)
+    yield np.stack(batch)[..., None]
+
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _Resolved(args)
@@ -177,16 +210,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     descriptors = []
     if args.modality == "2d":
-        encoder, head = trainer.image_branch_from(params)
-        for row in rows:
-            image = dataio.load_image_raw(base / row.image_path)
-            desc = heads.image_global_descriptor(image[..., None], encoder, head,
-                                                 row.sample_id)
-            descriptors.append(desc.numpy())
+        with _located_in(args.ckpt):
+            encoder, head = trainer.image_branch_from(params)
+        for images in _image_batches(base, rows):
+            descriptors.extend(heads.encode_images(images, encoder, head).values)
     else:
-        trainer.require_groups(params, ["pc.backbone.", "pc.head."], "extract 3d")
-        backbone = trainer.backbone_from(params)
-        head = trainer.pc_head_from(params)
+        with _located_in(args.ckpt):
+            trainer.require_groups(params, ["pc.backbone.", "pc.head."], "extract 3d")
+            backbone = trainer.backbone_from(params)
+            head = trainer.pc_head_from(params)
         voxel_config = default_grid_config()
         for row in rows:
             cloud = dataio.load_point_cloud_bin(base / row.cloud_path)

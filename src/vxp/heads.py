@@ -10,6 +10,10 @@ descriptor dimension.
 
 Descriptors are intentionally NOT L2-normalized: the global alignment loss
 regresses raw vectors, and retrieval uses the same raw geometry.
+
+The image branch computes in the dtype of its encoder's weights: float32 for
+the weights trainer.image_branch_from hands out (training and inference
+alike), float64 for float64 weights such as the gradient tests build.
 """
 
 from __future__ import annotations
@@ -96,6 +100,10 @@ class ImageEncoderParams:
         if self.input_gain is None:
             self.input_gain = Tensor(1.0)
 
+    def precision(self):
+        """The compute dtype of these weights, as an ad.precision block."""
+        return ad.precision(self.block_w[0].values.dtype)
+
     def named(self, prefix: str = "encoder") -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.input_gain", self.input_gain
         for i, (w, b) in enumerate(zip(self.block_w, self.block_b)):
@@ -123,18 +131,19 @@ def encode_image_batch(images: np.ndarray, params: ImageEncoderParams
     """Encode a (B, H, W, C) batch; returns ((B*H//8*W//8), D) plus out dims.
 
     Rows are ordered sample-major then row-major by (v, u), so per-sample
-    feature maps are contiguous row blocks.
+    feature maps are contiguous row blocks. Computes in the weights' dtype.
     """
     b, h, w, c = images.shape
     if h < constants.IMAGE_DOWNSAMPLE or w < constants.IMAGE_DOWNSAMPLE:
         raise TooSmall(f"image {h}x{w} smaller than {constants.IMAGE_DOWNSAMPLE}")
     gain = float(params.input_gain.values.reshape(()))
-    x = Tensor(images.reshape(b * h * w, c) * gain)
-    ch, cw = h, w
-    for wt, bt in zip(params.block_w, params.block_b):
-        patches = ad.patches_3x3_s2(x, b, ch, cw)
-        x = ad.relu(ad.add_rowvec(ad.matmul(patches, wt), bt))
-        ch, cw = ch // 2, cw // 2
+    with params.precision():
+        x = Tensor(images.reshape(b * h * w, c) * gain)
+        ch, cw = h, w
+        for wt, bt in zip(params.block_w, params.block_b):
+            patches = ad.patches_3x3_s2(x, b, ch, cw)
+            x = ad.relu(ad.add_rowvec(ad.matmul(patches, wt), bt))
+            ch, cw = ch // 2, cw // 2
     return x, cw, ch
 
 
@@ -209,20 +218,22 @@ def encode_images(images: np.ndarray, encoder: ImageEncoderParams,
     """Descriptors of a (B, H, W, C) batch -> (B, descriptor_dim).
 
     The only image-descriptor path: each image's feature rows are GeM-pooled
-    as one segment and put through the FC head, in training and inference.
+    as one segment and put through the FC head, in training and inference,
+    in the encoder weights' dtype.
     """
-    feats, ow, oh = encode_image_batch(images, encoder)
-    b = images.shape[0]
-    pooled = gem_pool_segments(feats, np.repeat(np.arange(b), oh * ow), b, head.p)
-    return ad.add_rowvec(ad.matmul(pooled, head.fc_w), head.fc_b)
+    with encoder.precision():
+        feats, ow, oh = encode_image_batch(images, encoder)
+        b = images.shape[0]
+        pooled = gem_pool_segments(feats, np.repeat(np.arange(b), oh * ow), b, head.p)
+        return ad.add_rowvec(ad.matmul(pooled, head.fc_w), head.fc_b)
 
 
 def image_global_descriptor(image: np.ndarray, encoder: ImageEncoderParams,
                             head: GemFcnParams, sample_id: str = "") -> GlobalDescriptor:
     """One image's descriptor: the single-image case of encode_images."""
-    vector = encode_images(_one_image_batch(image), encoder, head)
-    return GlobalDescriptor(vector=ad.reshape(vector, (-1,)),
-                            source_modality="image", sample_id=sample_id)
+    with encoder.precision():
+        vector = ad.reshape(encode_images(_one_image_batch(image), encoder, head), (-1,))
+    return GlobalDescriptor(vector=vector, source_modality="image", sample_id=sample_id)
 
 
 def point_cloud_encode(cloud: PointCloud, backbone: BackboneParams,

@@ -14,7 +14,14 @@ generator, data order is fixed, and parameters update in sorted-name order.
 
 Each stage computes in float32 and returns float64 parameters (widening is
 exact); the frozen image branch of stages 2 and 3 is returned exactly as it
-was given, never rounded through float32.
+was given, never rounded through float32. The image branch also runs in
+float32 at inference: image_branch_from hands it out in TRAIN_DTYPE, and the
+image encoder computes in its weights' dtype. The voxel branch stays float64
+at inference.
+
+The *_from builders check every checkpoint tensor against its neighbours
+(block widths, bias lengths, the FC head, scalar exponents, conv meta), so a
+malformed checkpoint fails naming the tensor.
 """
 
 from __future__ import annotations
@@ -45,8 +52,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Training computes in float32, as the paper's PyTorch setting does;
-# checkpoints and inference stay float64.
+# Training, and the image branch at inference, compute in float32, as the
+# paper's PyTorch setting does; checkpoints and the voxel branch's inference
+# stay float64.
 TRAIN_DTYPE = np.float32
 
 PROJECTIONS = ("perspective", "orthographic")
@@ -165,30 +173,68 @@ def init_image_params(cfg: StageConfig, rng: np.random.Generator) -> dict[str, T
     return params
 
 
-def _tensor(params: dict[str, Tensor], name: str) -> Tensor:
-    """params[name]; a checkpoint that lacks it is an error naming it."""
+def _tensor(params: dict[str, Tensor], name: str,
+            shape: tuple[int | None, ...] | None = None) -> Tensor:
+    """params[name], whose shape must be `shape` (None: any extent >= 1); a
+    checkpoint that lacks the tensor or holds it in another shape is an error
+    naming it."""
     if name not in params:
         raise DegenerateDataset(f"checkpoint lacks tensor {name!r}")
-    return params[name]
+    tensor = params[name]
+    if shape is not None and (tensor.values.ndim != len(shape) or any(
+            got < 1 or want not in (None, got) for got, want in zip(tensor.shape, shape))):
+        expected = ", ".join("*" if want is None else str(want) for want in shape)
+        _malformed(name, f"has shape {tensor.shape}, expected "
+                         f"({expected}{',' * (len(shape) == 1)})")
+    return tensor
+
+
+def _malformed(name: str, why: str):
+    raise ShapeMismatch(f"checkpoint tensor {name!r} {why}")
+
+
+def _in_train_dtype(tensor: Tensor) -> Tensor:
+    """tensor itself when it is already in TRAIN_DTYPE (stage 1's Adam
+    updates those in place), else a TRAIN_DTYPE copy."""
+    if tensor.values.dtype == TRAIN_DTYPE:
+        return tensor
+    with ad.precision(TRAIN_DTYPE):
+        return Tensor(tensor.values)
 
 
 def image_branch_from(params: dict[str, Tensor]
                       ) -> tuple[heads.ImageEncoderParams, heads.GemFcnParams]:
+    """The image branch of a checkpoint, each tensor checked against its
+    neighbours, in TRAIN_DTYPE; params is not changed."""
     blocks_w, blocks_b = [], []
+    width = None  # output channels of the previous block
     for i in range(16):
         key = f"image.encoder.block{i}.w"
         if key not in params:
             break
-        blocks_w.append(params[key])
-        blocks_b.append(_tensor(params, f"image.encoder.block{i}.b"))
+        w = _tensor(params, key, (None if width is None else 9 * width, None))
+        if w.shape[0] % 9:
+            _malformed(key, f"has {w.shape[0]} rows, not 9 per input channel")
+        width = w.shape[1]
+        blocks_w.append(w)
+        blocks_b.append(_tensor(params, f"image.encoder.block{i}.b", (width,)))
     if not blocks_w:
         raise DegenerateDataset("checkpoint lacks image encoder parameters")
-    encoder = heads.ImageEncoderParams(
-        block_w=blocks_w, block_b=blocks_b,
-        input_gain=params.get("image.encoder.input_gain"))
-    head = heads.GemFcnParams(*(_tensor(params, f"image.head.{name}")
-                                for name in ("p", "fc_w", "fc_b")))
-    return encoder, head
+    gain = None  # absent: ImageEncoderParams' default of 1
+    if "image.encoder.input_gain" in params:
+        gain = _in_train_dtype(_tensor(params, "image.encoder.input_gain", ()))
+    encoder = heads.ImageEncoderParams(block_w=[_in_train_dtype(t) for t in blocks_w],
+                                       block_b=[_in_train_dtype(t) for t in blocks_b],
+                                       input_gain=gain)
+    head = _head_from(params, "image.head", width)
+    return encoder, heads.GemFcnParams(*map(_in_train_dtype, (head.p, head.fc_w, head.fc_b)))
+
+
+def _head_from(params: dict[str, Tensor], prefix: str, width: int) -> heads.GemFcnParams:
+    """GeM exponent and FC head over features `width` wide."""
+    p = _tensor(params, f"{prefix}.p", ())
+    fc_w = _tensor(params, f"{prefix}.fc_w", (width, None))
+    return heads.GemFcnParams(p, fc_w, _tensor(params, f"{prefix}.fc_b", (fc_w.shape[1],)))
 
 
 def init_backbone_into(params: dict[str, Tensor], cfg: StageConfig,
@@ -212,17 +258,24 @@ def init_backbone_into(params: dict[str, Tensor], cfg: StageConfig,
 
 
 def backbone_from(params: dict[str, Tensor]) -> sparse3d.BackboneParams:
-    vfe = sparse3d.VFEParams(w1=_tensor(params, "pc.backbone.vfe.w1"),
-                             b1=_tensor(params, "pc.backbone.vfe.b1"))
+    w1 = _tensor(params, "pc.backbone.vfe.w1", (3, None))
+    vfe = sparse3d.VFEParams(w1=w1, b1=_tensor(params, "pc.backbone.vfe.b1", (w1.shape[1],)))
+    width = vfe.dim
     layers = []
     for i in range(16):
         key = f"pc.backbone.conv{i}.kernel"
         if key not in params:
             break
-        meta = _tensor(params, f"pc.backbone.conv{i}.meta").values
+        meta_key = f"pc.backbone.conv{i}.meta"
+        k, stride = _tensor(params, meta_key, (2,)).values
+        if not (k == int(k) and k % 2 == 1 and k >= 1 and stride == int(stride) >= 1):
+            _malformed(meta_key, f"is ({k:g}, {stride:g}), not an odd kernel size "
+                                 "and a stride >= 1")
+        kernel = _tensor(params, key, (int(k) ** 3 * width, None))
+        width = kernel.shape[1]
         layers.append(sparse3d.SparseConvLayer(
-            kernel=params[key], bias=_tensor(params, f"pc.backbone.conv{i}.bias"),
-            kernel_size=int(meta[0]), stride=int(meta[1])))
+            kernel=kernel, bias=_tensor(params, f"pc.backbone.conv{i}.bias", (width,)),
+            kernel_size=int(k), stride=int(stride)))
     return sparse3d.BackboneParams(vfe=vfe, layers=layers)
 
 
@@ -233,21 +286,25 @@ def init_pc_head_into(params: dict[str, Tensor], cfg: StageConfig,
     return head
 
 
-def copy_image_head_into(params: dict[str, Tensor]) -> heads.GemFcnParams:
+def copy_image_head_into(params: dict[str, Tensor],
+                         image_head: heads.GemFcnParams) -> heads.GemFcnParams:
     """Voxel head initialised as a copy of the frozen image head.
 
     Stage 2 puts voxel features in the image feature space, so the image
     head already maps their pooled vector near the image descriptor; a fresh
     random head would start stage 3 from an unrelated descriptor space.
     """
-    for name in ("p", "fc_w", "fc_b"):
-        params[f"pc.head.{name}"] = Tensor(params[f"image.head.{name}"].values.copy())
-    return pc_head_from(params)
+    head = heads.GemFcnParams(*(Tensor(t.values.copy())
+                                for t in (image_head.p, image_head.fc_w, image_head.fc_b)))
+    params.update(head.named("pc.head"))
+    return head
 
 
 def pc_head_from(params: dict[str, Tensor]) -> heads.GemFcnParams:
-    return heads.GemFcnParams(*(_tensor(params, f"pc.head.{name}")
-                                for name in ("p", "fc_w", "fc_b")))
+    """The voxel head, checked against the backbone's output width."""
+    backbone = backbone_from(params)
+    width = backbone.layers[-1].kernel.shape[1] if backbone.layers else backbone.vfe.dim
+    return _head_from(params, "pc.head", width)
 
 
 def require_groups(params: dict[str, Tensor], prefixes: list[str], stage: str) -> None:
@@ -447,15 +504,14 @@ def _point_branch_stage(dataset: TrainingSet, given: dict[str, Tensor],
 def _fit_point_branch(dataset: TrainingSet, given: dict[str, Tensor], cfg: StageConfig
                       ) -> tuple[dict[str, Tensor], list[tuple[int, int, float]], int]:
     rng = np.random.default_rng(cfg.seed)
-    params = _clone_params(given, "image.")
-    set_requires_grad(params, "image.", False)
-    encoder, image_head = image_branch_from(params)
+    encoder, image_head = image_branch_from(given)
+    params: dict[str, Tensor] = {}
 
     head = None
     if cfg.stage == "global":
         params.update(_clone_params(given, "pc.backbone."))
         backbone = backbone_from(params)
-        head = copy_image_head_into(params)
+        head = copy_image_head_into(params, image_head)
         set_requires_grad(params, "pc.head.", True)
     else:
         backbone = init_backbone_into(params, cfg, rng, dataset.voxel_config)

@@ -3,7 +3,10 @@
 Runs the acceptance experiment of criteria 6 and 7 for each seed: the
 perspective arm, then the orthographic arm reusing its stage-1 image branch.
 Prints one JSON line per seed, then the mean and the min-max of every number
-over the seeds. The acceptance tests and their seed-0 gates are unchanged.
+over the seeds. Besides the recalls, each line holds the seconds of every
+stage of both arms (`ExperimentResult.seconds`) and how many held-out 2D->3D
+queries find their first true match at rank 0, at ranks 1-4 and at rank 5
+or later. The acceptance tests and their seed-0 gates are unchanged.
 
     PYTHONPATH=src python tests/seed_sweep.py          # seeds 0 1 2 3
     PYTHONPATH=src python tests/seed_sweep.py 0 5      # chosen seeds
@@ -16,7 +19,24 @@ from dataclasses import replace
 
 import numpy as np
 
-from harness import ExperimentConfig, recall_between, run_experiment
+from harness import ExperimentConfig, recall_between, run_experiment, split_by_run
+from vxp import retrieval
+
+
+def first_match_counts(query_bundle, db_bundle, query_run, db_run) -> dict:
+    """Queries by the rank of their first true match: 0, 1-4 and >= 5."""
+    q_desc, q_pos = split_by_run(query_bundle, query_run)
+    db_desc, db_pos = split_by_run(db_bundle, db_run)
+    index = retrieval.build_index(db_desc, np.arange(len(db_desc), dtype=np.uint64),
+                                  db_pos)
+    ranks = retrieval.first_match_ranks(retrieval.QuerySet(q_desc, q_pos), index,
+                                        retrieval.EvalProtocol().success_radius_m, cap=5)
+    return {"0": int(np.sum(ranks == 0)), "1-4": int(np.sum((ranks >= 1) & (ranks < 5))),
+            ">=5": int(np.sum(ranks == 5))}
+
+
+def rounded(seconds: dict) -> dict:
+    return {stage: round(value, 2) for stage, value in seconds.items()}
 
 
 def sweep_seed(seed: int) -> dict:
@@ -36,8 +56,22 @@ def sweep_seed(seed: int) -> dict:
                                             one_percent=True),
         "r1pct_orthographic": recall_between(persp.held_2d, ortho.held_3d, "t1", "t0",
                                              one_percent=True),
+        "first_match_2d3d": first_match_counts(persp.held_2d, persp.held_3d, "t1", "t0"),
+        "perspective_s": rounded(persp.seconds),
+        "orthographic_s": rounded(ortho.seconds),
         "seconds": round(time.time() - t0, 1),
     }
+
+
+def numbers(row: dict) -> dict:
+    """A row's numbers, with nested ones under 'outer.inner' keys."""
+    out = {}
+    for key, value in row.items():
+        if isinstance(value, dict):
+            out.update((f"{key}.{inner}", v) for inner, v in value.items())
+        elif key != "seed":
+            out[key] = value
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -46,10 +80,11 @@ def main(argv: list[str]) -> int:
     for seed in seeds:
         rows.append(sweep_seed(seed))
         print(json.dumps(rows[-1]), flush=True)
-    keys = [key for key in rows[0] if key != "seed"]
-    print(json.dumps({"mean": {k: round(float(np.mean([r[k] for r in rows])), 4)
+    flat = [numbers(row) for row in rows]
+    keys = list(flat[0])
+    print(json.dumps({"mean": {k: round(float(np.mean([r[k] for r in flat])), 4)
                                for k in keys}}))
-    print(json.dumps({"min_max": {k: [min(r[k] for r in rows), max(r[k] for r in rows)]
+    print(json.dumps({"min_max": {k: [min(r[k] for r in flat), max(r[k] for r in flat)]
                                   for k in keys}}))
     return 0
 

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from harness import ExperimentConfig, extract_descriptors
 from vxp import cli, dataio
+from vxp.autodiff import Tensor
 
 
 def run(argv):
@@ -272,6 +274,35 @@ def test_checkpoint_missing_a_tensor_is_named(tiny_pipeline, tmp_path, capsys,
                 "--out", str(out)]) == 1
     assert f"checkpoint lacks tensor {missing!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,edit,modality", [
+    ("pc.backbone.conv0.meta", lambda v: v[:1], "3d"),
+    ("image.head.fc_w", lambda v: v[:5], "2d"),
+], ids=["conv0_meta_one_value", "fc_w_five_rows"])
+def test_malformed_checkpoint_tensor_names_file_and_tensor(tiny_pipeline, tmp_path, capsys,
+                                                           name, edit, modality):
+    params = dataio.read_checkpoint(tiny_pipeline["ck"][2])
+    params[name] = Tensor(edit(params[name].values))
+    ckpt = tmp_path / "bad.vxpc"
+    dataio.write_checkpoint(ckpt, params)
+    out = tmp_path / "out.vxpd"
+    assert run(["extract", "--modality", modality, "--ckpt", str(ckpt),
+                "--manifest", tiny_pipeline["manifest"], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{ckpt}: checkpoint tensor {name!r} has shape" in err
+    assert not out.exists()
+
+
+def test_extract_2d_equals_harness_descriptors(tiny_pipeline):
+    """The CLI and the test harness encode images through one float32 path."""
+    dataset = dataio.load_training_set(tiny_pipeline["manifest"], tiny_pipeline["calib"])
+    params = dataio.read_checkpoint(tiny_pipeline["ck"][2])
+    images = extract_descriptors(dataset, params, ExperimentConfig(seed=0))[0]
+    assert images.dtype == np.float32
+    ids, descriptors = dataio.read_descriptors(tiny_pipeline["v2d"])
+    assert np.array_equal(ids, np.arange(len(dataset.samples)))
+    assert descriptors.astype(np.float32).tobytes() == images.tobytes()
 
 
 def test_checkpoints_and_history_exist(tiny_pipeline):

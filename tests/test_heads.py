@@ -67,6 +67,25 @@ def test_encode_images_matches_per_image_gem_and_fc(rng):
         assert np.allclose(batched[i], plain, rtol=1e-12, atol=1e-15)
 
 
+def test_image_branch_computes_in_its_weights_dtype(rng):
+    imgs = rng.uniform(0, 1, size=(2, 16, 16, 1))
+    encoder = heads.init_image_encoder_params(1, rng, channels=(3, 4, 5))
+    head = heads.init_gem_fcn_params(5, 7, rng)
+    with ad.precision(np.float32):  # float64 weights: the active dtype does not decide
+        assert heads.encode_images(imgs, encoder, head).values.dtype == np.float64
+        assert heads.image_encode(imgs[0], encoder).feats.values.dtype == np.float64
+        encoder32 = heads.ImageEncoderParams(
+            block_w=[Tensor(t.values) for t in encoder.block_w],
+            block_b=[Tensor(t.values) for t in encoder.block_b])
+        head32 = heads.GemFcnParams(Tensor(head.p.values), Tensor(head.fc_w.values),
+                                    Tensor(head.fc_b.values))
+    desc = heads.image_global_descriptor(imgs[0], encoder32, head32)
+    assert desc.vector.values.dtype == np.float32
+    assert heads.encode_images(imgs, encoder32, head32).values.dtype == np.float32
+    assert np.allclose(desc.numpy(), heads.encode_images(imgs, encoder, head).values[0],
+                       rtol=1e-5, atol=1e-6)
+
+
 class TestGemPool:
     def test_p_one_is_arithmetic_mean(self, rng):
         feats = rng.uniform(0.1, 2.0, size=(7, 5))

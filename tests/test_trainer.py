@@ -1,12 +1,14 @@
 """Optimizer behavior, staged training contracts, freeze and determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
 from vxp import autodiff as ad
 from vxp import dataio, heads, losses, sparse3d, trainer
 from vxp.autodiff import Tape, Tensor
-from vxp.errors import DegenerateDataset
+from vxp.errors import DegenerateDataset, ShapeMismatch
 from vxp.geometry import VoxelGridConfig
 from vxp.synthetic import SyntheticSceneParams, synthetic_training_set
 
@@ -211,7 +213,7 @@ class TestStageGlobal:
 
     def test_head_starts_as_copy_of_image_head(self, stage1):
         params = dict(stage1.params)
-        head = trainer.copy_image_head_into(params)
+        head = trainer.copy_image_head_into(params, trainer.image_branch_from(params)[1])
         for name, tensor in (("p", head.p), ("fc_w", head.fc_w), ("fc_b", head.fc_b)):
             image_tensor = stage1.params[f"image.head.{name}"]
             assert np.array_equal(tensor.values, image_tensor.values)
@@ -294,6 +296,70 @@ class TestFloat32Training:
         assert seen
         promoted = {f.__qualname__ for f, dtype in seen if dtype != np.float32}
         assert not promoted
+
+
+class TestImageBranchFrom:
+    """The image branch comes out of a checkpoint in float32."""
+
+    @staticmethod
+    def branch_tensors(params):
+        encoder, head = trainer.image_branch_from(params)
+        out = dict(encoder.named("image.encoder"))
+        out.update(head.named("image.head"))
+        return out
+
+    def test_float32_tensors_come_back_as_the_same_objects(self):
+        with ad.precision(np.float32):
+            params = trainer.init_image_params(small_cfg("image"), np.random.default_rng(0))
+        got = self.branch_tensors(params)
+        assert got.keys() == params.keys()
+        assert all(got[name] is params[name] for name in params)
+
+    def test_float64_tensors_are_copied_without_touching_the_dict(self):
+        params = trainer.init_image_params(small_cfg("image"), np.random.default_rng(0))
+        before = {name: (t, t.values.tobytes()) for name, t in params.items()}
+        got = self.branch_tensors(params)
+        assert got.keys() == params.keys()
+        for name, tensor in got.items():
+            assert tensor is not params[name]
+            assert tensor.values.dtype == np.float32
+            assert np.array_equal(tensor.values, params[name].values.astype(np.float32))
+        assert params.keys() == before.keys()
+        for name, (tensor, raw) in before.items():
+            assert params[name] is tensor
+            assert tensor.values.dtype == np.float64 and tensor.values.tobytes() == raw
+
+
+def _cut(n):
+    return lambda v: v[:n]
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("image.encoder.block0.w", _cut(8)),          # rows not 9 per input channel
+    ("image.encoder.block1.w", _cut(-9)),         # rows against block 0's width
+    ("image.encoder.block1.b", _cut(-1)),         # bias against the block's width
+    ("image.encoder.input_gain", lambda v: np.r_[v, v]),
+    ("image.head.p", lambda v: np.r_[v, v]),      # p is a scalar
+    ("image.head.fc_w", _cut(5)),                 # rows against the encoder's width
+    ("image.head.fc_b", _cut(-1)),                # length against fc_w's columns
+    ("pc.backbone.vfe.w1", _cut(2)),              # 3 rows: x, y, z
+    ("pc.backbone.vfe.b1", _cut(-1)),
+    ("pc.backbone.conv0.meta", _cut(1)),          # (kernel size, stride)
+    ("pc.backbone.conv0.meta", lambda v: np.array([2.0, 2.0])),   # even kernel
+    ("pc.backbone.conv1.meta", lambda v: np.array([3.0, 0.0])),   # stride 0
+    ("pc.backbone.conv1.meta", lambda v: np.array([1.5, 2.0])),   # fractional kernel
+    ("pc.backbone.conv1.kernel", _cut(-1)),       # rows against k^3 x conv0's width
+    ("pc.backbone.conv0.bias", _cut(-1)),
+    ("pc.head.p", lambda v: v.reshape(1, 1)),
+    ("pc.head.fc_w", _cut(5)),                    # rows against the backbone's width
+    ("pc.head.fc_b", lambda v: v[:0]),            # empty
+])
+def test_malformed_checkpoint_tensor_is_named(stage3, name, edit):
+    params = dict(stage3.params)
+    params[name] = Tensor(edit(params[name].values))
+    build = trainer.image_branch_from if name.startswith("image.") else trainer.pc_head_from
+    with pytest.raises(ShapeMismatch, match=re.escape(f"checkpoint tensor {name!r}")):
+        build(params)
 
 
 def test_loss_history_csv(tmp_path):
