@@ -334,26 +334,29 @@ def _cut(n):
     return lambda v: v[:n]
 
 
-@pytest.mark.parametrize("name,edit", [
-    ("image.encoder.block0.w", _cut(8)),          # rows not 9 per input channel
-    ("image.encoder.block1.w", _cut(-9)),         # rows against block 0's width
-    ("image.encoder.block1.b", _cut(-1)),         # bias against the block's width
-    ("image.encoder.input_gain", lambda v: np.r_[v, v]),
-    ("image.head.p", lambda v: np.r_[v, v]),      # p is a scalar
-    ("image.head.fc_w", _cut(5)),                 # rows against the encoder's width
-    ("image.head.fc_b", _cut(-1)),                # length against fc_w's columns
-    ("pc.backbone.vfe.w1", _cut(2)),              # 3 rows: x, y, z
-    ("pc.backbone.vfe.b1", _cut(-1)),
-    ("pc.backbone.conv0.meta", _cut(1)),          # (kernel size, stride)
-    ("pc.backbone.conv0.meta", lambda v: np.array([2.0, 2.0])),   # even kernel
-    ("pc.backbone.conv1.meta", lambda v: np.array([3.0, 0.0])),   # stride 0
-    ("pc.backbone.conv1.meta", lambda v: np.array([1.5, 2.0])),   # fractional kernel
-    ("pc.backbone.conv1.kernel", _cut(-1)),       # rows against k^3 x conv0's width
-    ("pc.backbone.conv0.bias", _cut(-1)),
-    ("pc.head.p", lambda v: v.reshape(1, 1)),
-    ("pc.head.fc_w", _cut(5)),                    # rows against the backbone's width
-    ("pc.head.fc_b", lambda v: v[:0]),            # empty
-])
+_MALFORMED = {  # id: (tensor, edit of its values)
+    "block0_rows_not_9_per_channel": ("image.encoder.block0.w", _cut(8)),
+    "block1_rows_against_block0": ("image.encoder.block1.w", _cut(-9)),
+    "block1_bias_length": ("image.encoder.block1.b", _cut(-1)),
+    "input_gain_not_scalar": ("image.encoder.input_gain", lambda v: np.r_[v, v]),
+    "image_p_not_scalar": ("image.head.p", lambda v: np.r_[v, v]),
+    "image_fc_w_rows_against_encoder": ("image.head.fc_w", _cut(5)),
+    "image_fc_b_against_fc_w": ("image.head.fc_b", _cut(-1)),
+    "vfe_w1_not_xyz_rows": ("pc.backbone.vfe.w1", _cut(2)),
+    "vfe_b1_length": ("pc.backbone.vfe.b1", _cut(-1)),
+    "conv0_meta_one_value": ("pc.backbone.conv0.meta", _cut(1)),
+    "conv0_meta_even_kernel": ("pc.backbone.conv0.meta", lambda v: np.array([2.0, 2.0])),
+    "conv1_meta_stride_0": ("pc.backbone.conv1.meta", lambda v: np.array([3.0, 0.0])),
+    "conv1_meta_fractional_kernel": ("pc.backbone.conv1.meta", lambda v: np.array([1.5, 2.0])),
+    "conv1_kernel_rows_against_conv0": ("pc.backbone.conv1.kernel", _cut(-1)),
+    "conv0_bias_length": ("pc.backbone.conv0.bias", _cut(-1)),
+    "pc_p_not_scalar": ("pc.head.p", lambda v: v.reshape(1, 1)),
+    "pc_fc_w_rows_against_backbone": ("pc.head.fc_w", _cut(5)),
+    "pc_fc_b_empty": ("pc.head.fc_b", lambda v: v[:0]),
+}
+
+
+@pytest.mark.parametrize("name,edit", _MALFORMED.values(), ids=_MALFORMED.keys())
 def test_malformed_checkpoint_tensor_is_named(stage3, name, edit):
     params = dict(stage3.params)
     params[name] = Tensor(edit(params[name].values))
