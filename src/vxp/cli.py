@@ -26,15 +26,17 @@ from .geometry import default_grid_config
 from .synthetic import SyntheticSceneParams, synthetic_training_set
 from .trainer import StageConfig
 
-# (predicate, wording) requirements for _Resolved.get
+# (predicate, wording) requirements for _require
+_AT_LEAST_0 = (lambda n: n >= 0, ">= 0")
 _AT_LEAST_1 = (lambda n: n >= 1, ">= 1")
 _FINITE_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a finite value > 0")
+_RECALL = (lambda r: 0.0 <= r <= 1.0, "a recall in [0, 1]")  # refuses nan and inf too
 # option key -> (StageConfig field, cast, requirement); the defaults are
 # StageConfig's, and the requirements are the ones StageConfig checks
 _STAGE_OPTIONS = {
     "epochs": ("epochs", int, _AT_LEAST_1), "lr": ("base_lr", float, _FINITE_POSITIVE),
     "lr_decay": ("lr_decay", float, _FINITE_POSITIVE),
-    "batch_size": ("batch_size", int, _AT_LEAST_1), "seed": ("seed", int, None),
+    "batch_size": ("batch_size", int, _AT_LEAST_1), "seed": ("seed", int, _AT_LEAST_0),
     "projection": ("projection", str, None),
     "descriptor_dim": ("descriptor_dim", int, _AT_LEAST_1),
     "feature_dim": ("feature_dim", int, _AT_LEAST_1), "vfe_dim": ("vfe_dim", int, _AT_LEAST_1),
@@ -73,6 +75,14 @@ def _cast(cast, text: str, where: str):
         raise VxpError(f"{where}: {text!r} is not a valid {cast.__name__}") from None
 
 
+def _require(value, require, where: str):
+    """value, or a VxpError naming where it came from when it fails require,
+    a (predicate, wording) pair."""
+    if require is not None and not require[0](value):
+        raise VxpError(f"{where}: {value!r} is not {require[1]}")
+    return value
+
+
 class _Resolved:
     """Precedence-resolved view over flags, config file, VXP_SEED (for the
     seed) and defaults."""
@@ -101,9 +111,7 @@ class _Resolved:
                 value = _cast(int, os.environ[where], where)
             else:
                 value = _DEFAULTS[key]
-        if require is not None and not require[0](value):
-            raise VxpError(f"{where}: {value!r} is not {require[1]}")
-        self._seen[key] = value
+        self._seen[key] = _require(value, require, where)
         return value
 
     def print_if_requested(self) -> None:
@@ -122,10 +130,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _Resolved(args)
-    seed = cfg.get("seed", int)
+    seed = cfg.get("seed", int, _AT_LEAST_0)
     traversals = cfg.get("traversals", int, _AT_LEAST_1)
-    if args.scenes < 1:
-        raise VxpError(f"--scenes: {args.scenes} is not >= 1")
+    _require(args.scenes, _AT_LEAST_1, "--scenes")
     cfg.print_if_requested()
     dataset = synthetic_training_set(SyntheticSceneParams(seed=seed), range(args.scenes),
                                      traversals)
@@ -202,7 +209,7 @@ def _image_batches(base: Path, rows):
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _Resolved(args)
-    seed = cfg.get("seed", int)
+    seed = cfg.get("seed", int, _AT_LEAST_0)
     cfg.print_if_requested()
     params = dataio.read_checkpoint(args.ckpt)
     rows = dataio.parse_manifest(args.manifest)
@@ -356,8 +363,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     points = []
     for lineno, line in enumerate(lines[1:], start=2):
         k, _, r = line.partition(",")
-        where = f"{args.input}:{lineno}"
-        points.append((_cast(int, k, f"{where}: k"), _cast(float, r, f"{where}: recall")))
+        k_where, r_where = f"{args.input}:{lineno}: k", f"{args.input}:{lineno}: recall"
+        points.append((_require(_cast(int, k, k_where), _AT_LEAST_1, k_where),
+                       _require(_cast(float, r, r_where), _RECALL, r_where)))
     if not points:
         raise VxpError(f"{args.input}: no data rows")
     dataio.write_file(args.out, _render_svg_curve(points, Path(args.input).stem))

@@ -141,9 +141,3 @@ class InsufficientRuns(VxpError):
 
 class DegenerateDataset(VxpError):
     pass
-
-
-# --- docs ---
-
-class DriftDetected(VxpError):
-    pass

@@ -339,23 +339,18 @@ def kitti_revisit_eval(queries: QuerySet, index: RetrievalIndex,
 
 
 def oxford_pairwise_eval(runs: Sequence[tuple[QuerySet, RetrievalIndex]],
-                         protocol: EvalProtocol,
-                         test_region_filter: Callable[[np.ndarray], bool] | None = None,
-                         ) -> dict[str, float]:
+                         protocol: EvalProtocol) -> dict[str, float]:
     """Average recall over every ordered pair of distinct runs.
 
-    Queries of run i (optionally restricted to test regions) are evaluated
-    against the full database of run j, for all i != j; the unweighted mean
-    over the pairs is returned per metric. Each pair takes one ranking pass.
+    Queries of run i are evaluated against the full database of run j, for
+    all i != j; the unweighted mean over the pairs is returned per metric.
+    Each pair takes one ranking pass.
     """
     if len(runs) < 2:
         raise InsufficientRuns(f"need >= 2 runs, got {len(runs)}")
     sums: dict[str, float] = {}
     pairs = 0
     for i, (qset, _) in enumerate(runs):
-        if test_region_filter is not None:
-            qset = qset.take(np.asarray([test_region_filter(p) for p in qset.positions],
-                                        dtype=bool))
         for j, (_, db) in enumerate(runs):
             if i == j:
                 continue

@@ -89,6 +89,8 @@ class StageConfig:
             value = getattr(self, name)  # a count, a width or a tuple of widths
             if value is not None and min(np.ravel(value), default=1) < 1:
                 raise ValueError(f"{name} must be >= 1, not {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed!r}")
         if self.projection not in PROJECTIONS:
             raise ValueError(f"unknown projection {self.projection!r}")
 
@@ -394,6 +396,12 @@ def _fit_image_branch(dataset: TrainingSet, cfg: StageConfig
     encoder, head = image_branch_from(params)
     state = AdamState(params)
 
+    first = dataset.samples[0]
+    for sample in dataset.samples:
+        if sample.image.shape != first.image.shape:
+            raise DegenerateDataset(
+                f"sample {sample.sample_id!r}: image shape {sample.image.shape} differs "
+                f"from {first.image.shape}, the shape of first sample {first.sample_id!r}")
     images = np.stack([s.image for s in dataset.samples])[..., None]
     positions = np.asarray([s.position for s in dataset.samples])
 

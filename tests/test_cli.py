@@ -142,6 +142,26 @@ def test_bad_vxp_seed_is_located(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("argv,env,config,message", [
+    (["synth", "--scenes", "1", "--seed", "-1"], None, "", "--seed: -1 is not >= 0"),
+    (["synth", "--scenes", "1"], "-5", "", "VXP_SEED: -5 is not >= 0"),
+    (["synth", "--scenes", "1"], None, "seed=-3\n", "run.cfg:1: seed: -3 is not >= 0"),
+    (["extract", "--modality", "3d", "--ckpt", "c.vxpc", "--manifest", "m.csv",
+      "--seed", "-1"], None, "", "--seed: -1 is not >= 0"),
+    (["extract", "--modality", "2d", "--ckpt", "c.vxpc", "--manifest", "m.csv"], "-5", "",
+     "VXP_SEED: -5 is not >= 0"),
+], ids=["synth_flag", "synth_env", "synth_config", "extract_flag", "extract_env"])
+def test_negative_seed_is_located(tmp_path, monkeypatch, capsys, argv, env, config, message):
+    if env is not None:
+        monkeypatch.setenv("VXP_SEED", env)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out), "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,config,message", [
     (["--scenes", "0"], "", "--scenes: 0 is not >= 1"),
     (["--scenes", "-1"], "", "--scenes: -1 is not >= 1"),
@@ -167,6 +187,21 @@ def test_eval_radius_must_be_finite_and_positive(tmp_path, capsys, value, source
     assert run(EVAL_ARGV + flag + ["--out", str(out), "--config", str(cfg)]) == 1
     where = "--radius" if source == "flag" else "run.cfg:2: radius"
     assert f"{where}: {float(value)!r} is not a finite radius > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1,nan", "c.csv:3: recall: nan is not a recall in [0, 1]"),
+    ("1,inf", "c.csv:3: recall: inf is not a recall in [0, 1]"),
+    ("2,1.5", "c.csv:3: recall: 1.5 is not a recall in [0, 1]"),
+    ("0,0.5", "c.csv:3: k: 0 is not >= 1"),
+], ids=["nan", "inf", "above_one", "zero_k"])
+def test_plot_refuses_a_row_it_cannot_draw(tmp_path, capsys, row, message):
+    curve = tmp_path / "c.csv"
+    curve.write_text(f"k,recall\n1,0.5\n{row}\n")
+    out = tmp_path / "c.svg"
+    assert run(["plot", "--in", str(curve), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -223,6 +258,7 @@ def test_train_stage_needs_resume(tiny_pipeline):
     ("--epochs", "0", "--epochs: 0 is not >= 1"),
     ("--batch-size", "0", "--batch-size: 0 is not >= 1"),
     ("--batch-size", "-1", "--batch-size: -1 is not >= 1"),
+    ("--seed", "-2", "--seed: -2 is not >= 0"),
 ])
 def test_train_refuses_values_training_cannot_use(tiny_pipeline, tmp_path, capsys,
                                                   flag, value, message):

@@ -444,16 +444,6 @@ class TestPairwiseEval:
                                        rt.EvalProtocol(k_list=(1,)))
         assert out3["1"] == 1.0
 
-    def test_region_filter_restricts_queries(self):
-        rng = np.random.default_rng(10)
-        runs = self.make_runs(rng, 2)
-        full = rt.oxford_pairwise_eval(runs, rt.EvalProtocol(k_list=(1,)))
-        limited = rt.oxford_pairwise_eval(
-            runs, rt.EvalProtocol(k_list=(1,)),
-            test_region_filter=lambda p: p[0] < 300.0)
-        assert 0.0 <= limited["1"] <= 1.0
-        assert set(full) == set(limited)
-
 
 def test_results_csv_round_trip(tmp_path):
     p = tmp_path / "res.csv"

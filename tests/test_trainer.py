@@ -1,5 +1,6 @@
 """Optimizer behavior, staged training contracts, freeze and determinism."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_stage_config_rejects_an_unknown_choice(field):
     ("base_lr", float("inf")), ("lr_decay", 0.0), ("lr_decay", float("nan")),
     ("lr_decay", float("inf")), ("descriptor_dim", 0), ("feature_dim", 0), ("vfe_dim", -1),
     ("conv_channels", (8, 0)), ("image_channels", (0, 8)), ("batch_size", 0),
-    ("batch_size", -1),
+    ("batch_size", -1), ("seed", -1),
 ])
 def test_stage_config_rejects_values_training_cannot_use(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
@@ -138,6 +139,17 @@ class TestStageImage:
                                         voxel_config=SMALL_VOXELS)
         with pytest.raises(DegenerateDataset):
             trainer.train_stage_image(lonely, small_cfg("image"))
+
+    def test_mixed_image_sizes_name_the_first_odd_sample(self, tiny_dataset):
+        samples = list(tiny_dataset.samples)
+        first, odd = samples[0], samples[3]
+        samples[3] = dataclasses.replace(odd, image=odd.image[:-8])
+        samples[5] = dataclasses.replace(samples[5], image=samples[5].image[:, :-8])
+        mixed = dataclasses.replace(tiny_dataset, samples=samples)
+        message = (f"sample {odd.sample_id!r}: image shape (24, 32) differs "
+                   f"from (32, 32), the shape of first sample {first.sample_id!r}")
+        with pytest.raises(DegenerateDataset, match=re.escape(message)):
+            trainer.train_stage_image(mixed, small_cfg("image"))
 
     def test_no_negatives_in_reach(self):
         # two traversals of one scene: positives exist, negatives never do
