@@ -2,9 +2,9 @@
 
 Option precedence for synth, train, extract and eval is flags > config file
 (key=value lines) > built-in defaults; `--print-config` echoes the resolved
-values. Exit codes: 0 on success, 1 on runtime failure (message on stderr),
-2 on usage errors. `VXP_SEED` provides the seed when no --seed flag or
-config entry is given.
+values. Exit codes: 0 on success, 1 on a VxpError (message on stderr), 2 on
+usage errors; any other exception is a bug and propagates. `VXP_SEED`
+provides the seed when no --seed flag or config entry is given.
 """
 
 from __future__ import annotations
@@ -189,24 +189,6 @@ def _located_in(path):
 
 # --- extract ---
 
-# Images per encode_images call: the batch bounds memory on large
-# manifests; a manifest this size or smaller is encoded as the test harness
-# encodes a dataset, in one batch, so both get the same bytes.
-_IMAGE_BATCH = 256
-
-
-def _image_batches(base: Path, rows):
-    """(B, H, W, 1) batches of consecutive manifest images of one size."""
-    batch = []
-    for row in rows:
-        image = dataio.load_image_raw(base / row.image_path)
-        if batch and (len(batch) == _IMAGE_BATCH or image.shape != batch[0].shape):
-            yield np.stack(batch)[..., None]
-            batch = []
-        batch.append(image)
-    yield np.stack(batch)[..., None]
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _Resolved(args)
     seed = cfg.get("seed", int, _AT_LEAST_0)
@@ -219,8 +201,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if args.modality == "2d":
         with _located_in(args.ckpt):
             encoder, head = trainer.image_branch_from(params)
-        for images in _image_batches(base, rows):
-            descriptors.extend(heads.encode_images(images, encoder, head).values)
+        images = (dataio.load_image_raw(base / row.image_path) for row in rows)
+        for batch in heads.image_batches(images):
+            descriptors.extend(heads.encode_images(batch, encoder, head).values)
     else:
         with _located_in(args.ckpt):
             trainer.require_groups(params, ["pc.backbone.", "pc.head."], "extract 3d")
@@ -443,7 +426,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VxpError, OSError, ValueError) as exc:
+    except VxpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -285,7 +285,10 @@ def write_training_set(out_dir, dataset: TrainingSet) -> None:
     per sample, then manifest.csv and calib.vxpcal, under out_dir."""
     out = Path(out_dir)
     for sub in ("clouds", "images"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
+        try:
+            (out / sub).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create directory {out / sub}: {exc}") from exc
     rows = []
     for s in dataset.samples:
         cloud_rel, image_rel = f"clouds/{s.sample_id}.bin", f"images/{s.sample_id}.img"

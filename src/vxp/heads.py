@@ -19,7 +19,7 @@ alike), float64 for float64 weights such as the gradient tests build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -147,18 +147,23 @@ def encode_image_batch(images: np.ndarray, params: ImageEncoderParams
     return x, cw, ch
 
 
-def _one_image_batch(image: np.ndarray) -> np.ndarray:
-    """An (H, W) or (H, W, C) image as a (1, H, W, C) float64 batch."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 2:
-        image = image[:, :, None]
-    return image[None]
+# Images per batch: the batch bounds memory on large manifests; a manifest
+# this size or smaller is encoded as the test harness encodes a dataset, in
+# one batch, so both get the same bytes.
+IMAGE_BATCH = 256
 
 
-def image_encode(image: np.ndarray, params: ImageEncoderParams) -> ImageFeatureMap:
-    """Single-image feature map with the (H//8, W//8, D) geometry contract."""
-    feats, ow, oh = encode_image_batch(_one_image_batch(image), params)
-    return ImageFeatureMap(width=ow, height=oh, channels=feats.shape[1], feats=feats)
+def image_batches(images: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """(B, H, W, 1) batches, B <= IMAGE_BATCH, of consecutive (H, W) images of
+    one size: the one image batching, for `vxp extract` and training targets."""
+    batch = []
+    for image in images:
+        if batch and (len(batch) == IMAGE_BATCH or image.shape != batch[0].shape):
+            yield np.stack(batch)[..., None]
+            batch = []
+        batch.append(image)
+    if batch:
+        yield np.stack(batch)[..., None]
 
 
 def gem_pool(features: Tensor, p: Tensor) -> Tensor:
@@ -230,9 +235,10 @@ def encode_images(images: np.ndarray, encoder: ImageEncoderParams,
 
 def image_global_descriptor(image: np.ndarray, encoder: ImageEncoderParams,
                             head: GemFcnParams, sample_id: str = "") -> GlobalDescriptor:
-    """One image's descriptor: the single-image case of encode_images."""
+    """One (H, W, C) image's descriptor, as a batch of one for encode_images."""
     with encoder.precision():
-        vector = ad.reshape(encode_images(_one_image_batch(image), encoder, head), (-1,))
+        batch = np.asarray(image, dtype=np.float64)[None]
+        vector = ad.reshape(encode_images(batch, encoder, head), (-1,))
     return GlobalDescriptor(vector=vector, source_modality="image", sample_id=sample_id)
 
 

@@ -17,7 +17,9 @@ exact); the frozen image branch of stages 2 and 3 is returned exactly as it
 was given, never rounded through float32. The image branch also runs in
 float32 at inference: image_branch_from hands it out in TRAIN_DTYPE, and the
 image encoder computes in its weights' dtype. The voxel branch stays float64
-at inference.
+at inference. Stages 2 and 3 encode their image targets in the batches
+`vxp extract --modality 2d` uses, so each stage-3 target is bit for bit the
+descriptor extract writes for its image.
 
 The *_from builders check every checkpoint tensor against its neighbours
 (block widths, bias lengths, the FC head, scalar exponents, conv meta), so a
@@ -444,7 +446,7 @@ class _PreparedSample:
     grid: VoxelGrid
     plans: sparse3d.BackbonePlans
     # stage 2: (projection of the backbone's output sites, image feature map);
-    # stage 3: the frozen image descriptor
+    # stage 3: the frozen image descriptor, the row `vxp extract` writes
     target: tuple[ProjectedFeatureMap, heads.ImageFeatureMap] | Tensor
 
 
@@ -455,19 +457,24 @@ def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
                            ) -> tuple[list[_PreparedSample], int]:
     """Voxelize, plan convolutions and cache the frozen image target per
     sample; returns the usable samples in dataset order and the count skipped."""
+    targets: list[heads.ImageFeatureMap | Tensor] = []
+    for images in heads.image_batches(s.image for s in dataset.samples):
+        if cfg.stage == "global":
+            targets += map(Tensor, heads.encode_images(images, encoder, image_head).values)
+        else:
+            feats, ow, oh = heads.encode_image_batch(images, encoder)
+            targets += (heads.ImageFeatureMap(ow, oh, feats.shape[1], Tensor(rows))
+                        for rows in feats.values.reshape(len(images), oh * ow, -1))
     prepared: list[_PreparedSample] = []
-    for s in dataset.samples:
+    for s, target in zip(dataset.samples, targets):
         try:
             grid = voxelize(s.cloud, dataset.voxel_config,
                             sample_voxel_seed(s.sample_id, cfg.seed))
         except (EmptyCloud, AllPointsCulled):
             continue
         plans = sparse3d.plan_backbone(grid, backbone)
-        if cfg.stage == "global":
-            target = heads.image_global_descriptor(s.image, encoder, image_head).vector
-        else:
-            fmap = heads.image_encode(s.image, encoder)
-            dims = (fmap.width, fmap.height)
+        if cfg.stage == "local":
+            dims = (target.width, target.height)
             try:
                 if cfg.projection == "perspective":
                     projected = project_voxels(plans.out_coords, plans.out_voxel_size,
@@ -478,7 +485,7 @@ def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
                                                      plans.out_voxel_size, dims)
             except NoVisibleVoxels:
                 continue
-            target = (projected, fmap)
+            target = (projected, target)
         prepared.append(_PreparedSample(grid=grid, plans=plans, target=target))
     return prepared, len(dataset.samples) - len(prepared)
 

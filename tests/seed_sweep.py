@@ -8,13 +8,25 @@ stage of both arms (`ExperimentResult.seconds`) and how many held-out 2D->3D
 queries find their first true match at rank 0, at ranks 1-4 and at rank 5
 or later. The acceptance tests and their seed-0 gates are unchanged.
 
-    PYTHONPATH=src python tests/seed_sweep.py          # seeds 0 1 2 3
-    PYTHONPATH=src python tests/seed_sweep.py 0 5      # chosen seeds
+The seeds run in two spawned worker processes with one OpenBLAS thread
+each: on a 2-core host that beats one process with two threads, and two
+processes with two threads each slow each other down many times over.
+Results do not depend on the BLAS thread count (tests/test_blas_threads.py),
+so every number but the seconds equals a serial run's. `--workers 1` runs
+the seeds one after another in this process, with the default threads.
+
+    PYTHONPATH=src python tests/seed_sweep.py              # seeds 0 1 2 3
+    PYTHONPATH=src python tests/seed_sweep.py 0 5          # chosen seeds
+    PYTHONPATH=src python tests/seed_sweep.py --workers 1  # serial
 """
 
+import argparse
 import json
+import multiprocessing
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -74,18 +86,45 @@ def numbers(row: dict) -> dict:
     return out
 
 
+def sweep(seeds: list[int], workers: int):
+    """sweep_seed of every seed, in seed order."""
+    if workers == 1:
+        yield from map(sweep_seed, seeds)
+        return
+    # OpenBLAS reads its thread count when numpy loads, and a spawned worker
+    # loads numpy afresh with this process's environment.
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(min(workers, len(seeds)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield from pool.map(sweep_seed, seeds)
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
 def main(argv: list[str]) -> int:
-    seeds = [int(arg) for arg in argv] or [0, 1, 2, 3]
+    parser = argparse.ArgumentParser(description="seed sweep of the acceptance experiment")
+    parser.add_argument("seeds", nargs="*", type=int, default=[0, 1, 2, 3])
+    parser.add_argument("--workers", type=int, default=2, choices=(1, 2),
+                        help="worker processes with one OpenBLAS thread each; "
+                             "1 runs the seeds in this process")
+    args = parser.parse_args(argv)
+    t0 = time.time()
     rows = []
-    for seed in seeds:
-        rows.append(sweep_seed(seed))
-        print(json.dumps(rows[-1]), flush=True)
+    for row in sweep(args.seeds, args.workers):
+        rows.append(row)
+        print(json.dumps(row), flush=True)
     flat = [numbers(row) for row in rows]
     keys = list(flat[0])
     print(json.dumps({"mean": {k: round(float(np.mean([r[k] for r in flat])), 4)
                                for k in keys}}))
     print(json.dumps({"min_max": {k: [min(r[k] for r in flat), max(r[k] for r in flat)]
                                   for k in keys}}))
+    print(json.dumps({"workers": args.workers, "wall_s": round(time.time() - t0, 1)}))
     return 0
 
 

@@ -266,13 +266,13 @@ def test_criterion_3_gradient_suite():
     for seed in range(100):
         rng = np.random.default_rng(97_000 + seed)
         params = heads.init_image_encoder_params(1, rng, channels=(2, 2, 3))
-        img = rng.uniform(0.1, 1.0, size=(8, 8, 1))
+        img = rng.uniform(0.1, 1.0, size=(1, 8, 8, 1))
 
         def f(t, p=params, im=img):
             probe = heads.ImageEncoderParams(block_w=[t, p.block_w[1], p.block_w[2]],
                                              block_b=p.block_b,
                                              input_gain=p.input_gain)
-            return oracles.l2norm(heads.image_encode(im, probe).feats)
+            return oracles.l2norm(heads.encode_image_batch(im, probe)[0])
 
         worst = max(worst, ad.check_gradient(f, params.block_w[0]))
     results["image_encoder"] = worst

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from harness import ExperimentConfig, extract_descriptors
-from vxp import cli, dataio
+from vxp import cli, dataio, trainer
 from vxp.autodiff import Tensor
 
 
@@ -44,6 +44,22 @@ def test_runtime_error_exits_1(tmp_path, capsys):
                 "--out", str(tmp_path / "o.svg")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_synth_into_a_file_is_a_located_io_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run(["synth", "--scenes", "1", "--seed", "0", "--out", str(out)]) == 1
+    assert f"error: cannot create directory {out / 'clouds'}" in capsys.readouterr().err
+
+
+def test_an_exception_that_is_not_a_vxp_error_propagates(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ValueError("bug in the writer")
+
+    monkeypatch.setattr(dataio, "write_training_set", broken)
+    with pytest.raises(ValueError, match="bug in the writer"):
+        run(["synth", "--scenes", "1", "--seed", "0", "--out", str(tmp_path / "d")])
 
 
 def test_synth_deterministic_by_bytes(tmp_path):
@@ -339,6 +355,35 @@ def test_extract_2d_equals_harness_descriptors(tiny_pipeline):
     ids, descriptors = dataio.read_descriptors(tiny_pipeline["v2d"])
     assert np.array_equal(ids, np.arange(len(dataset.samples)))
     assert descriptors.astype(np.float32).tobytes() == images.tobytes()
+
+
+def test_stage3_targets_are_the_rows_extract_writes(tmp_path, monkeypatch):
+    """Stage 3 regresses the descriptor `vxp extract --modality 2d` writes for
+    each image, bit for bit. The default widths (64 -> 256) matter: there a
+    one-image FC product rounds differently from a batched one."""
+    data = tmp_path / "data"
+    assert run(["synth", "--scenes", "4", "--seed", "3", "--out", str(data)]) == 0
+    common = ["--manifest", str(data / "manifest.csv"), "--calib", str(data / "calib.vxpcal"),
+              "--epochs", "1", "--seed", "0"]
+    ck1, ck2, ck3 = (str(tmp_path / f"stage{i}.vxpc") for i in (1, 2, 3))
+    assert run(["train", "--stage", "image", "--out", ck1, *common]) == 0
+    assert run(["train", "--stage", "local", "--out", ck2, "--resume", ck1, *common]) == 0
+    v2d = str(tmp_path / "img.vxpd")
+    assert run(["extract", "--modality", "2d", "--ckpt", ck1,
+                "--manifest", str(data / "manifest.csv"), "--out", v2d]) == 0
+
+    targets = []
+    loss = trainer.losses.global_descriptor_loss
+
+    def recording(image_desc, cloud_desc):
+        targets.append(image_desc.values.tobytes())
+        return loss(image_desc, cloud_desc)
+
+    monkeypatch.setattr(trainer.losses, "global_descriptor_loss", recording)
+    assert run(["train", "--stage", "global", "--out", ck3, "--resume", ck2, *common]) == 0
+    _, rows = dataio.read_descriptors(v2d)
+    assert rows.shape == (8, 256)
+    assert sorted(targets) == sorted(row.tobytes() for row in rows.astype(np.float32))
 
 
 def test_checkpoints_and_history_exist(tiny_pipeline):

@@ -1,6 +1,7 @@
 """Doc/code parity: the protocol table must name the values in
-vxp.constants, and the README module table, walkthrough and subcommand list
-must match the package and the CLI."""
+vxp.constants, the protocol numbers cited in prose must be rows of it, and
+the README module table, walkthrough and subcommand list must match the
+package and the CLI."""
 
 import ast
 import re
@@ -28,6 +29,16 @@ def test_protocol_table_matches_constants():
     assert {name.upper() for name in rows} == names
     for name, value in rows.items():
         assert ast.literal_eval(value) == getattr(constants, name.upper()), name
+
+
+@pytest.mark.parametrize("doc", [README, DOCS_DIR / "formats.md"], ids=lambda p: p.name)
+def test_protocol_numbers_in_prose_cite_table_rows(doc):
+    """Prose cites a protocol number as a link to its table row,
+    [`name`](protocols.md), instead of repeating the value."""
+    rows = protocol_rows((DOCS_DIR / "protocols.md").read_text())
+    cited = re.findall(r"\[`(\w+)`\]\((?:docs/)?protocols\.md\)", doc.read_text())
+    assert cited
+    assert set(cited) <= set(rows)
 
 
 def test_constants_agree_with_code_defaults():

@@ -18,17 +18,19 @@ def rng():
 
 
 class TestImageEncode:
+    """The image encoder (encode_image_batch) on one-image and larger batches."""
+
     @pytest.mark.parametrize("h,w,eh,ew", [(224, 224, 28, 28), (64, 64, 8, 8), (30, 30, 3, 3)])
     def test_output_geometry(self, rng, h, w, eh, ew):
         params = heads.init_image_encoder_params(1, rng, channels=(4, 4, 6))
-        fmap = heads.image_encode(rng.uniform(0, 1, size=(h, w, 1)), params)
-        assert (fmap.height, fmap.width, fmap.channels) == (eh, ew, 6)
-        assert fmap.feats.shape == (eh * ew, 6)
+        feats, ow, oh = heads.encode_image_batch(rng.uniform(0, 1, size=(1, h, w, 1)), params)
+        assert (oh, ow, feats.shape[1]) == (eh, ew, 6)
+        assert feats.shape == (eh * ew, 6)
 
     def test_too_small_rejected(self, rng):
         params = heads.init_image_encoder_params(1, rng, channels=(2, 2, 2))
         with pytest.raises(TooSmall):
-            heads.image_encode(np.zeros((7, 16, 1)), params)
+            heads.encode_image_batch(np.zeros((1, 7, 16, 1)), params)
 
     def test_batch_matches_single(self, rng):
         params = heads.init_image_encoder_params(1, rng, channels=(3, 4, 5))
@@ -36,21 +38,45 @@ class TestImageEncode:
         batched, ow, oh = heads.encode_image_batch(imgs, params)
         per_img = oh * ow
         for i in range(3):
-            single = heads.image_encode(imgs[i], params)
+            single, _, _ = heads.encode_image_batch(imgs[i:i + 1], params)
             assert np.allclose(batched.values[i * per_img:(i + 1) * per_img],
-                               single.feats.values)
+                               single.values)
 
     def test_gradient_wrt_block_weights(self, rng):
         params = heads.init_image_encoder_params(1, rng, channels=(2, 3, 3))
-        img = rng.uniform(0.1, 1.0, size=(8, 8, 1))
+        img = rng.uniform(0.1, 1.0, size=(1, 8, 8, 1))
 
         def f(w):
             probe = heads.ImageEncoderParams(
                 block_w=[w, params.block_w[1], params.block_w[2]],
                 block_b=params.block_b)
-            return l2norm(heads.image_encode(img, probe).feats)
+            return l2norm(heads.encode_image_batch(img, probe)[0])
 
         assert ad.check_gradient(f, params.block_w[0]) < 1e-4
+
+
+class TestImageBatches:
+    @staticmethod
+    def images(shapes):
+        return [np.full(shape, float(i)) for i, shape in enumerate(shapes)]
+
+    def test_keeps_order_and_splits_at_a_size_change(self):
+        images = self.images([(8, 8)] * 3 + [(16, 8)] + [(8, 8)] * 2)
+        batches = list(heads.image_batches(iter(images)))
+        assert [b.shape for b in batches] == [(3, 8, 8, 1), (1, 16, 8, 1), (2, 8, 8, 1)]
+        flat = [image[..., 0] for batch in batches for image in batch]
+        assert len(flat) == len(images)
+        assert all(np.array_equal(a, b) for a, b in zip(flat, images))
+
+    def test_splits_at_image_batch(self, monkeypatch):
+        monkeypatch.setattr(heads, "IMAGE_BATCH", 2)
+        images = self.images([(8, 8)] * 5)
+        batches = list(heads.image_batches(images))
+        assert [len(b) for b in batches] == [2, 2, 1]
+        assert [float(b[0, 0, 0, 0]) for b in batches] == [0.0, 2.0, 4.0]
+
+    def test_no_images_no_batch(self):
+        assert list(heads.image_batches([])) == []
 
 
 def test_encode_images_matches_per_image_gem_and_fc(rng):
@@ -61,8 +87,8 @@ def test_encode_images_matches_per_image_gem_and_fc(rng):
     assert batched.shape == (3, 7)
     for i in range(3):
         single = heads.image_global_descriptor(imgs[i], encoder, head, "s").numpy()
-        fmap = heads.image_encode(imgs[i], encoder)
-        plain = heads.fcn_project(heads.gem_pool(fmap.feats, head.p), head, "image").numpy()
+        feats, _, _ = heads.encode_image_batch(imgs[i:i + 1], encoder)
+        plain = heads.fcn_project(heads.gem_pool(feats, head.p), head, "image").numpy()
         assert np.allclose(batched[i], single, rtol=1e-12, atol=0.0)
         assert np.allclose(batched[i], plain, rtol=1e-12, atol=1e-15)
 
@@ -73,7 +99,7 @@ def test_image_branch_computes_in_its_weights_dtype(rng):
     head = heads.init_gem_fcn_params(5, 7, rng)
     with ad.precision(np.float32):  # float64 weights: the active dtype does not decide
         assert heads.encode_images(imgs, encoder, head).values.dtype == np.float64
-        assert heads.image_encode(imgs[0], encoder).feats.values.dtype == np.float64
+        assert heads.encode_image_batch(imgs[:1], encoder)[0].values.dtype == np.float64
         encoder32 = heads.ImageEncoderParams(
             block_w=[Tensor(t.values) for t in encoder.block_w],
             block_b=[Tensor(t.values) for t in encoder.block_b])

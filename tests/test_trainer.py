@@ -256,6 +256,38 @@ class TestStageGlobal:
         assert trainer.params_digest(a.params) == trainer.params_digest(b.params)
 
 
+@pytest.mark.parametrize("stage", ["local", "global"])
+def test_point_stages_encode_each_image_at_its_own_size(tiny_dataset, stage1, stage2,
+                                                        stage):
+    """The image targets are encoded in batches of one size; an odd-sized
+    image between two such batches still gets its own target."""
+    samples = list(tiny_dataset.samples)
+    samples[3] = dataclasses.replace(samples[3], image=samples[3].image[:-8])  # 24 x 32
+    mixed = dataclasses.replace(tiny_dataset, samples=samples)
+    cfg = small_cfg(stage, epochs=1)
+    encoder, head = trainer.image_branch_from(stage1.params)
+    with ad.precision(trainer.TRAIN_DTYPE):
+        prepared, skipped = trainer._prepare_point_samples(
+            mixed, cfg, trainer.backbone_from(stage2.params), encoder, head)
+    assert skipped == 0
+    for s, prep in zip(mixed.samples, prepared):
+        image = s.image[None, ..., None]
+        if stage == "local":
+            fmap = prep.target[1]
+            feats, ow, oh = heads.encode_image_batch(image, encoder)
+            assert (fmap.height, fmap.width) == (oh, ow) == (s.image.shape[0] // 8, 4)
+            assert np.allclose(fmap.feats.values, feats.values, rtol=1e-5, atol=1e-6)
+        else:
+            assert np.allclose(prep.target.values,
+                               heads.encode_images(image, encoder, head).values[0],
+                               rtol=1e-5, atol=1e-6)
+    if stage == "local":
+        out = trainer.train_stage_local(mixed, stage1.params, cfg)
+    else:
+        out = trainer.train_stage_global(mixed, stage1.params, stage2.params, cfg)
+    assert np.isfinite(out.history[-1][2])
+
+
 @pytest.fixture(scope="module")
 def stage3(tiny_dataset, stage1, stage2):
     return trainer.train_stage_global(tiny_dataset, stage1.params, stage2.params,
