@@ -17,9 +17,8 @@ exact); the frozen image branch of stages 2 and 3 is returned exactly as it
 was given, never rounded through float32. The image branch also runs in
 float32 at inference: image_branch_from hands it out in TRAIN_DTYPE, and the
 image encoder computes in its weights' dtype. The voxel branch stays float64
-at inference. Stages 2 and 3 encode their image targets in the batches
-`vxp extract --modality 2d` uses, so each stage-3 target is bit for bit the
-descriptor extract writes for its image.
+at inference. Stages 2 and 3 batch their image targets as `vxp extract` does,
+so each stage-3 target is bit for bit extract's row on the training manifest.
 
 The *_from builders check every checkpoint tensor against its neighbours
 (block widths, bias lengths, the FC head, scalar exponents, conv meta), so a
@@ -446,7 +445,7 @@ class _PreparedSample:
     grid: VoxelGrid
     plans: sparse3d.BackbonePlans
     # stage 2: (projection of the backbone's output sites, image feature map);
-    # stage 3: the frozen image descriptor, the row `vxp extract` writes
+    # stage 3: the frozen image descriptor, extract's row on the training manifest
     target: tuple[ProjectedFeatureMap, heads.ImageFeatureMap] | Tensor
 
 

@@ -12,12 +12,11 @@ The seeds run in two spawned worker processes with one OpenBLAS thread
 each: on a 2-core host that beats one process with two threads, and two
 processes with two threads each slow each other down many times over.
 Results do not depend on the BLAS thread count (tests/test_blas_threads.py),
-so every number but the seconds equals a serial run's. `--workers 1` runs
-the seeds one after another in this process, with the default threads.
+so every number but the seconds equals a serial run's. The seconds are
+single-thread times of one seed while another seed runs alongside it.
 
-    PYTHONPATH=src python tests/seed_sweep.py              # seeds 0 1 2 3
-    PYTHONPATH=src python tests/seed_sweep.py 0 5          # chosen seeds
-    PYTHONPATH=src python tests/seed_sweep.py --workers 1  # serial
+    PYTHONPATH=src python tests/seed_sweep.py          # seeds 0 1 2 3
+    PYTHONPATH=src python tests/seed_sweep.py 0 5      # chosen seeds
 """
 
 import argparse
@@ -86,36 +85,23 @@ def numbers(row: dict) -> dict:
     return out
 
 
-def sweep(seeds: list[int], workers: int):
+def sweep(seeds: list[int]):
     """sweep_seed of every seed, in seed order."""
-    if workers == 1:
-        yield from map(sweep_seed, seeds)
-        return
     # OpenBLAS reads its thread count when numpy loads, and a spawned worker
     # loads numpy afresh with this process's environment.
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        with ProcessPoolExecutor(min(workers, len(seeds)),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            yield from pool.map(sweep_seed, seeds)
-    finally:
-        if saved is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
+    with ProcessPoolExecutor(min(2, len(seeds)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield from pool.map(sweep_seed, seeds)
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="seed sweep of the acceptance experiment")
     parser.add_argument("seeds", nargs="*", type=int, default=[0, 1, 2, 3])
-    parser.add_argument("--workers", type=int, default=2, choices=(1, 2),
-                        help="worker processes with one OpenBLAS thread each; "
-                             "1 runs the seeds in this process")
     args = parser.parse_args(argv)
     t0 = time.time()
     rows = []
-    for row in sweep(args.seeds, args.workers):
+    for row in sweep(args.seeds):
         rows.append(row)
         print(json.dumps(row), flush=True)
     flat = [numbers(row) for row in rows]
@@ -124,7 +110,7 @@ def main(argv: list[str]) -> int:
                                for k in keys}}))
     print(json.dumps({"min_max": {k: [min(r[k] for r in flat), max(r[k] for r in flat)]
                                   for k in keys}}))
-    print(json.dumps({"workers": args.workers, "wall_s": round(time.time() - t0, 1)}))
+    print(json.dumps({"wall_s": round(time.time() - t0, 1)}))
     return 0
 
 
