@@ -313,9 +313,9 @@ def _check_records(path, records: np.ndarray) -> None:
     if (seen > 1).any():
         dup = int(np.argmax(seen > 1))
         raise DuplicateId(f"{path}: id {int(uniq[dup])} appears {int(seen[dup])} times")
-    bad = ~np.isfinite(records["d"]).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
+    finite = np.isfinite(records["d"])
+    if not finite.all():  # locate the row only on failure
+        row = int(np.argmin(finite.all(axis=1)))
         raise NonFinite(f"{path}: record {row} (id {int(records['id'][row])}) "
                         "is not finite")
 

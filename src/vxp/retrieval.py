@@ -2,13 +2,14 @@
 
 Descriptors are compared by L2 distance, the one space the triplet loss
 trains. Search is exact and runs over blocks of queries, so memory is bounded
-by the block size, not by queries x rows. It takes a shortlist from one
-matrix multiply, ||q||^2 + ||d||^2 - 2 q.d (||d||^2 cached per index), within a
-written rounding bound, then re-ranks it with the exact distance expression.
-Ids and distances are bit-identical to a brute-force scan, ties resolve by
-lowest id, and the immutable index gives results independent of insertion
-order. Every recall metric reads one vector of first-match ranks per (query
-set, index), and `protocol_ks` names the metrics of every protocol.
+by the block size, not by queries x rows. It takes a shortlist from float32
+keys ||q||^2 + ||d||^2 - 2 q.d (one float32 matrix multiply against a float32
+copy of the index made on first query), within a written rounding bound,
+then re-ranks it with the exact float64 distance expression. Ids and
+distances are bit-identical to a brute-force scan, ties resolve by lowest
+id, and the immutable index gives results independent of insertion order.
+Every recall metric reads one vector of first-match ranks per (query set,
+index), and `protocol_ks` names the metrics of every protocol.
 Protocols: plain recall@k / recall@1%, the pairwise multi-run evaluation
 (every ordered pair of distinct runs, averaged), and the revisit protocol
 (trajectory subsampling by traveled distance plus a minimum time gap between
@@ -27,10 +28,16 @@ import numpy as np
 from . import constants
 from .dataio import write_file
 from .errors import (DimMismatch, Empty, InsufficientRuns, InvalidK,
-                     MissingTimestamps, NonFinite, NoValidQueries)
+                     MissingTimestamps, NonFinite, NoValidQueries, TooLarge)
 
-# Queries x database rows per block: 2 M float64 keys, 16 MiB per (B, N) array.
+# Queries x database rows per block: 2 M float32 keys, 8 MiB per (B, N) array.
 _BLOCK_ELEMS = 1 << 21
+# Largest squared norm of a descriptor. It keeps every float32 value, product,
+# partial sum and key of the shortlist below 2^123, where float32 overflows
+# at 2^128, and so also refuses values that are not finite as float32.
+_SQ_NORM_LIMIT = 2.0 ** 120
+# Smallest descriptor dim the float32 rounding bound does not cover (D u < 1).
+_DIM_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,7 @@ class RetrievalIndex:
     descriptors: np.ndarray  # (N, D)
     ids: np.ndarray          # (N,) uint64
     positions: np.ndarray    # (N, 3) meters
+    sq_norms: np.ndarray     # (N,) ||d||^2
     timestamps: np.ndarray | None = None  # (N,) seconds
 
     @property
@@ -67,11 +75,13 @@ class RetrievalIndex:
         return self.descriptors.shape[1]
 
     @cached_property
-    def sq_norms(self) -> np.ndarray:
-        """Read-only ||d||^2 per row, computed on first use."""
-        sq = (self.descriptors ** 2).sum(axis=1)
-        sq.setflags(write=False)
-        return sq
+    def float32_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only float32 copies of descriptors and sq_norms, the operands
+        of the shortlist keys, made on first query."""
+        copies = self.descriptors.astype(np.float32), self.sq_norms.astype(np.float32)
+        for a in copies:
+            a.setflags(write=False)
+        return copies
 
 
 @dataclass
@@ -92,11 +102,25 @@ class QuerySet:
                         None if self.timestamps is None else self.timestamps[rows])
 
 
-def _require_finite(values: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        row = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
-        raise NonFinite(f"{what}: row {row} is not finite")
+def _require_finite(values: np.ndarray, what: str,
+                    sq_norms: np.ndarray | None = None) -> None:
+    """Refuse, naming the first bad row, values that are not finite or, given
+    the rows' squared norms, a row whose squared norm is not at most
+    _SQ_NORM_LIMIT. The whole array is tested first; the row is located only
+    on failure."""
+    ok = np.isfinite(values) if sq_norms is None else sq_norms <= _SQ_NORM_LIMIT
+    if ok.all():
+        return
+    row = int(np.argmin(ok.reshape(ok.shape[0], -1).all(axis=1)))
+    if np.isfinite(values[row]).all():
+        raise NonFinite(f"{what}: row {row} has squared norm {sq_norms[row]:.6g}, "
+                        "above the search limit 2^120")
+    raise NonFinite(f"{what}: row {row} is not finite")
+
+
+def _sq_norms(descriptors: np.ndarray) -> np.ndarray:
+    """Float64 ||x||^2 of each row."""
+    return np.einsum("ij,ij->i", descriptors, descriptors)
 
 
 def build_index(descriptors: np.ndarray, ids: np.ndarray, positions: np.ndarray,
@@ -104,20 +128,22 @@ def build_index(descriptors: np.ndarray, ids: np.ndarray, positions: np.ndarray,
     descriptors = np.asarray(descriptors, dtype=np.float64)
     if descriptors.ndim != 2 or descriptors.shape[0] == 0:
         raise Empty("index needs a non-empty (N, D) descriptor matrix")
+    if descriptors.shape[1] >= _DIM_LIMIT:
+        raise TooLarge(f"descriptor dim {descriptors.shape[1]} is 2^24 or more")
     ids = np.asarray(ids, dtype=np.uint64)
     positions = np.asarray(positions, dtype=np.float64)
     if ids.shape[0] != descriptors.shape[0] or positions.shape[0] != descriptors.shape[0]:
         raise DimMismatch("ids/positions length must match descriptor count")
-    _require_finite(descriptors, "index descriptors")
+    sq_norms = _sq_norms(descriptors)
+    _require_finite(descriptors, "index descriptors", sq_norms)
     _require_finite(positions, "index positions")
     if timestamps is not None:
         timestamps = np.asarray(timestamps, dtype=np.float64)
         timestamps.setflags(write=False)
-    descriptors.setflags(write=False)
-    ids.setflags(write=False)
-    positions.setflags(write=False)
+    for a in (descriptors, ids, positions, sq_norms):
+        a.setflags(write=False)
     return RetrievalIndex(descriptors=descriptors, ids=ids, positions=positions,
-                          timestamps=timestamps)
+                          sq_norms=sq_norms, timestamps=timestamps)
 
 
 def _distances(index_desc: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -135,32 +161,57 @@ def _within(positions: np.ndarray, query_positions: np.ndarray,
     return np.sqrt(d2) <= radius
 
 
-def _shortlist(index: RetrievalIndex, queries: np.ndarray, cap: int,
-               mask: np.ndarray | None,
+def _shortlist(index: RetrievalIndex, queries32: np.ndarray, q_sq: np.ndarray,
+               cap: int, mask: np.ndarray | None,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Candidates that may rank in each query's exact top min(cap, candidates).
 
-    Returns row-major (query, row) pairs, their keys and each query's slack.
-    Keys are ||q||^2 + ||d||^2 - 2 q.d. With u = 2^-53 and S = ||q||^2 +
-    max ||d||^2, the norms, dot product and adds put a key within 2(D + 3)uS
-    of the exact squared distance, and the exact expression's subtractions,
-    squares and sum put its computed square within another 2(D + 3)uS; 8uS
-    more keeps a strictly larger square strictly larger after the rounded
-    sqrt. The slack is twice the sum of these, and keeping every key within
-    2 * slack of the c-th smallest keeps every row of the exact top c. mask
-    is (B, N) or None.
+    queries32 are the (B, D) queries rounded to float32, q_sq their float64
+    squared norms and mask is (B, N) or None. Returns row-major (query, row)
+    pairs, their float32 keys and each query's float64 slack.
+
+    Keys are ||q||^2 + ||d||^2 - 2 q.d in float32: -2 times one float32
+    matrix multiply of the rounded rows, plus both float64 squared norms
+    rounded to float32. With u = 2^-24, gamma_D = Du / (1 - Du) for D < 2^24
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1) and S =
+    ||q||^2 + max ||d||^2, a key is within E of the exact squared distance
+    between the float64 rows, where E sums:
+      - input rounding, which moves 2 q.d by at most 3uS;
+      - the float32 dot product, gamma_D (1 + u)^2 S;
+      - the norms rounded to float32, uS, and the two final adds,
+        (5 + 2 gamma_D)uS; with the above, (gamma_D + 10u)(1 + gamma_D)S
+        bounds these four up to terms in u^2 S;
+      - (D + 1)(1 + gamma_D) 2^-149 for values that round into float32's
+        subnormal range (below 2^-126): there inputs, products and norms err
+        by up to 2^-150 each instead of relatively, and sums are exact. This
+        assumes gradual underflow, not flush-to-zero; float64 underflow errs
+        by far less;
+      - at u = 2^-53, DuS for the float64 norms, and the float64 re-rank's
+        unchanged terms: its subtractions, squares and sum put its computed
+        square within 2(D + 3)uS of the exact one, and 8uS more keeps a
+        strictly larger square strictly larger after the rounded sqrt.
+    The slack is twice E, and keeping every key within 2 * slack of the c-th
+    smallest keeps every row of the exact top c. Squared norms of at most
+    2^120 keep every float32 step finite.
     """
-    q_sq = (queries ** 2).sum(axis=1)
-    keys = queries @ index.descriptors.T
+    desc32, sq_norms32 = index.float32_operands
+    keys = queries32 @ desc32.T
     keys *= -2.0
-    keys += q_sq[:, None]
-    keys += index.sq_norms
-    slack = 8.0 * (index.dim + 5) * 2.0 ** -53 * (q_sq + index.sq_norms.max())
+    keys += q_sq.astype(np.float32)[:, None]
+    keys += sq_norms32
+    d, u = index.dim, 2.0 ** -24
+    gamma = d * u / (1.0 - d * u)
+    relative = (gamma + 10 * u) * (1 + gamma) + (3 * d + 14) * 2.0 ** -53
+    slack = 2.0 * relative * (q_sq + index.sq_norms.max()) \
+        + 2.0 * (d + 1) * (1 + gamma) * 2.0 ** -149
     if mask is not None:
         keys[~mask] = np.inf
     c = min(cap, index.size)
     kth = np.partition(keys, c - 1, axis=1)[:, c - 1]
-    keep = keys <= (kth + 2.0 * slack)[:, None]
+    # The float64 bound rounded to float32, then up by one step, so that no
+    # key within it is dropped.
+    bound = np.nextafter((kth + 2.0 * slack).astype(np.float32), np.float32(np.inf))
+    keep = keys <= bound[:, None]
     if mask is not None:
         keep &= mask
     qi, rows = np.nonzero(keep)
@@ -177,20 +228,23 @@ def _rerank(index: RetrievalIndex, queries: np.ndarray, qi: np.ndarray,
     return qi, rows, dists, np.arange(qi.shape[0]) - np.searchsorted(qi, qi)
 
 
-def _check_queries(queries: np.ndarray, index: RetrievalIndex) -> None:
+def _check_queries(queries: np.ndarray, index: RetrievalIndex) -> np.ndarray:
+    """The queries' squared norms, after refusing a wrong dim or a bad row."""
     if queries.shape[1] != index.dim:
         raise DimMismatch(f"query dim {queries.shape[1]} vs index dim {index.dim}")
-    _require_finite(queries, "query descriptors")
+    q_sq = _sq_norms(queries)
+    _require_finite(queries, "query descriptors", q_sq)
+    return q_sq
 
 
 def query_knn(index: RetrievalIndex, query: np.ndarray,
               k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k smallest distances, ascending; ties resolve by lowest id."""
     query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-    _check_queries(query, index)
+    q_sq = _check_queries(query, index)
     if not 1 <= k <= index.size:
         raise InvalidK(f"k={k} outside [1, {index.size}]")
-    qi, rows, _, _ = _shortlist(index, query, k, None)
+    qi, rows, _, _ = _shortlist(index, query.astype(np.float32), q_sq, k, None)
     _, rows, dists, _ = _rerank(index, query, qi, rows)
     return index.ids[rows[:k]], dists[:k]
 
@@ -208,7 +262,8 @@ def first_match_ranks(queries: QuerySet, index: RetrievalIndex, radius: float,
     if cap < 1:
         raise InvalidK(f"cap={cap}")
     descriptors = np.asarray(queries.descriptors, dtype=np.float64)
-    _check_queries(descriptors, index)
+    q_sq = _check_queries(descriptors, index)
+    descriptors32 = descriptors.astype(np.float32)
     query_pos = np.asarray(queries.positions, dtype=np.float64)
     _require_finite(query_pos, "query positions")
     ranks = np.full(queries.size, -1, dtype=np.int64)
@@ -217,7 +272,8 @@ def first_match_ranks(queries: QuerySet, index: RetrievalIndex, radius: float,
         hi = min(lo + step, queries.size)
         block_mask = None if mask is None else mask(lo, hi)
         block_desc, block_pos = descriptors[lo:hi], query_pos[lo:hi]
-        qi, rows, keys, slack = _shortlist(index, block_desc, cap, block_mask)
+        qi, rows, keys, slack = _shortlist(index, descriptors32[lo:hi], q_sq[lo:hi],
+                                           cap, block_mask)
         hit = _within(index.positions[rows], block_pos[qi], radius)
         # A row ranking at or before the first in-radius row has a key within
         # 2 * slack of the smallest key among in-radius rows, so only those

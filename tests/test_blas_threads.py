@@ -1,8 +1,11 @@
-"""Training and extraction bytes do not depend on the BLAS thread count.
+"""Training, extraction and evaluation bytes do not depend on the BLAS
+thread count.
 
-A tiny synth -> stage 1/2/3 -> extract runs in two fresh interpreters, with
-OPENBLAS_NUM_THREADS set to 1 and to 2 before numpy loads. Both must write
-the same checkpoints and descriptor files, byte for byte.
+A tiny synth -> stage 1/2/3 -> extract -> eval runs in two fresh
+interpreters, with OPENBLAS_NUM_THREADS set to 1 and to 2 before numpy loads.
+Both must write the same checkpoints, descriptor files and recall CSVs, byte
+for byte, so neither the training GEMMs nor the float32 shortlist GEMM of
+the search reaches an output.
 """
 
 import hashlib
@@ -38,6 +41,11 @@ for i, stage in enumerate(("image", "local", "global"), start=1):
 for modality in ("2d", "3d"):
     assert cli.main(["extract", "--modality", modality, "--ckpt", str(root / "stage3.vxpc"),
                      "--manifest", manifest, "--out", str(root / f"{modality}.vxpd")]) == 0
+for protocol, recall in (("plain", "1,1pct,curve25"), ("oxford", "1,1pct")):
+    assert cli.main(["eval", "--query", str(root / "2d.vxpd"), "--db", str(root / "3d.vxpd"),
+                     "--query-manifest", manifest, "--db-manifest", manifest,
+                     "--protocol", protocol, "--recall", recall,
+                     "--out", str(root / f"{protocol}.csv")]) == 0
 
 libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                               "libscipy_openblas64_*.so"))
@@ -48,7 +56,8 @@ try:
 except (IndexError, OSError, AttributeError):
     threads = -1
 print("threads", threads)
-for name in ("stage1.vxpc", "stage2.vxpc", "stage3.vxpc", "2d.vxpd", "3d.vxpd"):
+for name in ("stage1.vxpc", "stage2.vxpc", "stage3.vxpc", "2d.vxpd", "3d.vxpd",
+             "plain.csv", "plain.csv.curve.csv", "oxford.csv"):
     print("sha256", name, hashlib.sha256((root / name).read_bytes()).hexdigest())
 """
 
@@ -74,5 +83,5 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         assert int(next(line for line in lines if line.startswith("threads "))[8:]) in (
             -1, threads)
         outputs[threads] = [line for line in lines if line.startswith("sha256 ")]
-    assert len(outputs[1]) == 5
+    assert len(outputs[1]) == 8
     assert outputs[1] == outputs[2]

@@ -1,6 +1,7 @@
 """Retrieval index, exact kNN and recall protocols against brute force."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from oracles import brute_force_knn, brute_force_recall_at_k
 from vxp import retrieval as rt
 from vxp.errors import (DimMismatch, Empty, InsufficientRuns, InvalidK,
-                        MissingTimestamps, NonFinite, NoValidQueries)
+                        MissingTimestamps, NonFinite, NoValidQueries, TooLarge)
 
 
 def simple_index(descs, positions=None, ids=None, timestamps=None):
@@ -197,11 +198,23 @@ class TestRecall:
 
 
 def adversarial(kind, descs):
-    """Inputs that stress the GEMM shortlist: exact duplicates (ties by id),
-    or a large common offset, where ||q||^2 + ||d||^2 - 2 q.d cancels to
-    within rounding of the distances themselves."""
+    """Inputs that stress the float32 GEMM shortlist: exact duplicates (ties
+    by id); a large common offset, where ||q||^2 + ||d||^2 - 2 q.d cancels to
+    within rounding of the distances themselves; values whose float32
+    products fall into the subnormal range; or squared norms near the 2^120
+    limit, where every row is (a, t, ..., t) with a = 2^59.75 and
+    t = 2^47.5 (1 + x / 20): the products t t' sit within a few percent of
+    half a float32 step of a^2, so summed after a^2 they all round one way,
+    down when x + x' < 0, and the dot product errs by about its gamma_D
+    bound."""
     if kind == "offset":
         return 1e4 + 1e-4 * descs
+    if kind == "subnormal":
+        return 1e-22 * descs
+    if kind == "near_limit":
+        rows = np.full(descs.shape, 2.0 ** 47.5) * (1.0 + descs[:, :1] / 20.0)
+        rows[:, 0] = 2.0 ** 59.75
+        return rows
     descs = descs.copy()
     descs[len(descs) // 2:] = descs[:len(descs) - len(descs) // 2]
     return descs
@@ -226,7 +239,7 @@ def ranks_oracle(q_desc, q_pos, db_desc, db_pos, ids, radius, cap, rows_for=None
 class TestEngine:
     @pytest.mark.parametrize("metric", ["L2"])
     @pytest.mark.parametrize("dim", [4, 256])
-    @pytest.mark.parametrize("kind", ["duplicates", "offset"])
+    @pytest.mark.parametrize("kind", ["duplicates", "offset", "subnormal", "near_limit"])
     def test_knn_matches_brute_force_exactly(self, metric, dim, kind):
         rng = np.random.default_rng(dim)
         n = 120
@@ -244,15 +257,15 @@ class TestEngine:
 
     @pytest.mark.parametrize("metric", ["L2"])
     @pytest.mark.parametrize("n_q", [1, 23])
-    @pytest.mark.parametrize("kind", ["duplicates", "offset"])
+    @pytest.mark.parametrize("kind", ["duplicates", "offset", "subnormal", "near_limit"])
     def test_ranks_and_recalls_across_blocks(self, monkeypatch, metric, n_q, kind):
         # 5 queries per block, so 23 queries leave a partial last block.
         # Descriptors carry no place signal, so first matches rank anywhere
         # from 0 past the cap, and queries beyond either end have none.
         rng = np.random.default_rng(n_q)
         db_desc = adversarial(kind, rng.normal(size=(90, 256)))
-        q_desc = adversarial("offset", rng.normal(size=(n_q, 256))) if kind == "offset" \
-            else rng.normal(size=(n_q, 256))
+        q_desc = rng.normal(size=(n_q, 256)) if kind == "duplicates" \
+            else adversarial(kind, rng.normal(size=(n_q, 256)))
         db_pos = np.zeros((90, 3))
         db_pos[:, 0] = np.arange(90) * 5.0
         q_pos = np.zeros((n_q, 3))
@@ -370,6 +383,29 @@ class TestEngine:
             rt.recall_at_k(rt.QuerySet(bad, np.zeros((3, 3))), idx, rt.EvalProtocol(), 1)
         with pytest.raises(NonFinite):
             rt.recall_at_k(rt.QuerySet(descs, bad_pos), idx, rt.EvalProtocol(), 1)
+        # Rows must also be finite as float32, with squared norm at most 2^120,
+        # which keeps the float32 shortlist keys finite; the limit itself is
+        # accepted, and search there is still exact.
+        descs = np.eye(3)
+        descs[0, 0] = 2.0 ** 60  # squared norm exactly 2^120
+        idx = simple_index(descs)
+        ids, dists = rt.query_knn(idx, descs[0], 3)
+        want_ids, want_d = brute_force_knn(descs, idx.ids, descs[0], 3)
+        assert np.array_equal(ids, want_ids) and np.array_equal(dists, want_d)
+        # Not finite as float32, then just above the limit.
+        for value, norm in ((1e39, "1e+78"), (2.0 ** 60 * (1 + 2.0 ** -30), "1.32923e+36")):
+            for row in (1, 2):
+                bad = descs.copy()
+                bad[row, 1] = value
+                message = f"has squared norm {norm}, above the search limit 2^120"
+                with pytest.raises(NonFinite, match=re.escape(f"row {row} {message}")):
+                    simple_index(bad)
+                with pytest.raises(NonFinite, match=re.escape(f"row {row} {message}")):
+                    rt.first_match_ranks(rt.QuerySet(bad, np.zeros((3, 3))), idx, 25.0, 1)
+                with pytest.raises(NonFinite, match=re.escape(f"row 0 {message}")):
+                    rt.query_knn(idx, bad[row], 1)
+        with pytest.raises(TooLarge):
+            rt.build_index(np.zeros((1, 1 << 24)), np.zeros(1), np.zeros((1, 3)))
 
 
 class TestRevisit:
