@@ -203,10 +203,12 @@ def adversarial(kind, descs):
     within rounding of the distances themselves; values whose float32
     products fall into the subnormal range; or squared norms near the 2^120
     limit, where every row is (a, t, ..., t) with a = 2^59.75 and
-    t = 2^47.5 (1 + x / 20): the products t t' sit within a few percent of
-    half a float32 step of a^2, so summed after a^2 they all round one way,
-    down when x + x' < 0, and the dot product errs by about its gamma_D
-    bound."""
+    t = 2^47.5 (1 + x / 20): the products t t' lie near half a float32 step
+    of a^2, below it when x + x' < 0, so summed in order after a^2 they all
+    round the same way and the dot product errs by about its gamma_D bound.
+    With 1e-22 (not smaller) values, products are subnormal but not all
+    zero, so the keys differ and only the subnormal term covers their
+    error."""
     if kind == "offset":
         return 1e4 + 1e-4 * descs
     if kind == "subnormal":
