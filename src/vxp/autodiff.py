@@ -21,9 +21,17 @@ a fraction of the time; an indexed += is itself a get, an add and a set,
 so it is spelled out as such.
 
 Conventions fixed here so tests are deterministic:
-  * ReLU gradient at exactly 0 is 0.
-  * backward() overwrites .grad on every reachable requires_grad tensor and
-    leaves unreachable tensors untouched.
+  * ReLU is max(x, 0): every x <= 0 (-0.0 and -inf included) gives +0.0,
+    and the gradient is passed where the output is positive, so it is 0 at
+    exactly 0. Its backward rebuilds that mask from the output, so the
+    forward keeps no mask of its own.
+  * backward() overwrites .grad on every reachable leaf, a requires_grad
+    tensor that no entry of the tape produced, and sets no .grad on the
+    tensors its entries produced; unreachable tensors are left untouched.
+    It frees each produced tensor's gradient once used, so it holds only the
+    gradients of tensors the walk has still to reach.
+  * backward() leaves tape.entries as they were: the benchmark counts the
+    entries of a tape after its backward.
 """
 
 from __future__ import annotations
@@ -107,29 +115,34 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad with d(loss)/d(tensor) for every reachable tensor."""
+        """Set .grad to d(loss)/d(leaf) on every reachable leaf.
+
+        Gradients are summed in reverse tape order. An entry's output is used
+        only by later entries, so its gradient is complete when the walk
+        reaches the entry; it is popped there and freed once the entry's
+        grad_fn has used it. What is left at the end belongs to leaves.
+        """
         if loss.values.size != 1:
             raise NotScalar(f"loss has {loss.values.size} elements")
         if not self.entries:
             raise ValueError("backward on an empty tape")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        grads: dict[int, tuple[Tensor, np.ndarray]] = {
+            id(loss): (loss, np.ones_like(loss.values))}
         for entry in reversed(self.entries):
-            g_out = grads.get(id(entry.output))
-            if g_out is None:
+            held = grads.pop(id(entry.output), None)
+            if held is None:
                 continue
-            for inp, g_in in zip(entry.inputs, entry.grad_fn(g_out)):
+            for inp, g_in in zip(entry.inputs, entry.grad_fn(held[1])):
                 if g_in is None or not inp.requires_grad:
                     continue
                 key = id(inp)
                 if key in grads:
-                    grads[key] = grads[key] + g_in
+                    grads[key] = (inp, grads[key][1] + g_in)
                 else:
-                    grads[key] = g_in
-                    holders[key] = inp
-        for key, tensor in holders.items():
+                    grads[key] = (inp, g_in)
+        for tensor, grad in grads.values():
             if tensor.requires_grad:
-                tensor.grad = np.asarray(grads[key], dtype=tensor.values.dtype
+                tensor.grad = np.asarray(grad, dtype=tensor.values.dtype
                                          ).reshape(tensor.shape)
 
 
@@ -231,8 +244,8 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.values > 0.0
-    return _finish(a.values * mask, (a,), lambda g: (g * mask,))
+    out = np.maximum(a.values, 0.0)
+    return _finish(out, (a,), lambda g: (g * (out > 0.0),))
 
 
 # --- linear algebra ---
@@ -252,6 +265,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 av.T @ g if b.requires_grad else None)
 
     return _finish(av @ bv, (a, b), grad_fn)
+
+
+def linear_relu(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(a @ w + b) for an (n, k) a, a (k, d) w and a length-d b.
+
+    The bias add and the max with 0 run in place on the product, so the
+    forward allocates one (n, d) array and the tape keeps only the output;
+    values and gradients are those of relu(add_rowvec(matmul(a, w), b)),
+    bit for bit.
+    """
+    if a.values.ndim != 2 or w.values.ndim != 2 or a.shape[1] != w.shape[0]:
+        raise ShapeMismatch(f"linear_relu: {a.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeMismatch(f"linear_relu: bias {b.shape} for {w.shape[1]} columns")
+    av, wv, bv = a.values, w.values, b.values
+    out = (av @ wv).astype(np.result_type(av, wv, bv), copy=False)
+    out += bv
+    np.maximum(out, 0.0, out=out)
+
+    def grad_fn(g):
+        g = g * (out > 0.0)
+        # as in matmul, an operand that needs no gradient gets none
+        return (g @ wv.T if a.requires_grad else None,
+                av.T @ g if w.requires_grad else None,
+                g.sum(axis=0))
+
+    return _finish(out, (a, w, b), grad_fn)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -225,6 +225,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 # --- eval ---
 
+def _read_searchable(path) -> tuple[np.ndarray, np.ndarray]:
+    """A VXPD file's ids and descriptors, refusing by file, record and id a
+    record over the search's norm limit: the search would name only its row
+    in the set searched, under --protocol oxford one run's subset."""
+    ids, descs = dataio.read_descriptors(path)
+    retrieval.require_searchable(descs, str(path),
+                                 lambda row: f"record {row} (id {int(ids[row])})")
+    return ids, descs
+
+
 def _located(ids, descs, rows, label) -> retrieval.QuerySet:
     """Descriptors with the position and timestamp of their manifest rows."""
     # descriptor ids are manifest row ordinals (assigned by `extract`)
@@ -258,8 +268,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg.print_if_requested()
     ks, one_percent, curve = _parse_recall_spec(recall_spec, args.protocol)
 
-    q_ids, q_descs = dataio.read_descriptors(args.query)
-    db_ids, db_descs = dataio.read_descriptors(args.db)
+    q_ids, q_descs = _read_searchable(args.query)
+    db_ids, db_descs = _read_searchable(args.db)
     q_rows = dataio.parse_manifest(args.query_manifest)
     db_rows = dataio.parse_manifest(args.db_manifest)
     protocol = retrieval.EvalProtocol(success_radius_m=radius, k_list=tuple(ks),

@@ -142,7 +142,7 @@ def encode_image_batch(images: np.ndarray, params: ImageEncoderParams
         ch, cw = h, w
         for wt, bt in zip(params.block_w, params.block_b):
             patches = ad.patches_3x3_s2(x, b, ch, cw)
-            x = ad.relu(ad.add_rowvec(ad.matmul(patches, wt), bt))
+            x = ad.linear_relu(patches, wt, bt)
             ch, cw = ch // 2, cw // 2
     return x, cw, ch
 

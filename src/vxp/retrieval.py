@@ -103,19 +103,28 @@ class QuerySet:
 
 
 def _require_finite(values: np.ndarray, what: str,
-                    sq_norms: np.ndarray | None = None) -> None:
-    """Refuse, naming the first bad row, values that are not finite or, given
-    the rows' squared norms, a row whose squared norm is not at most
-    _SQ_NORM_LIMIT. The whole array is tested first; the row is located only
-    on failure."""
+                    sq_norms: np.ndarray | None = None,
+                    row_name: Callable[[int], str] = "row {}".format) -> None:
+    """Refuse, naming the first bad row by row_name, values that are not
+    finite or, given the rows' squared norms, a row whose squared norm is not
+    at most _SQ_NORM_LIMIT. The whole array is tested first; the row is
+    located only on failure."""
     ok = np.isfinite(values) if sq_norms is None else sq_norms <= _SQ_NORM_LIMIT
     if ok.all():
         return
     row = int(np.argmin(ok.reshape(ok.shape[0], -1).all(axis=1)))
     if np.isfinite(values[row]).all():
-        raise NonFinite(f"{what}: row {row} has squared norm {sq_norms[row]:.6g}, "
-                        "above the search limit 2^120")
-    raise NonFinite(f"{what}: row {row} is not finite")
+        raise NonFinite(f"{what}: {row_name(row)} has squared norm "
+                        f"{sq_norms[row]:.6g}, above the search limit 2^120")
+    raise NonFinite(f"{what}: {row_name(row)} is not finite")
+
+
+def require_searchable(descriptors: np.ndarray, what: str,
+                       row_name: Callable[[int], str]) -> None:
+    """Refuse, naming the first by row_name, the float64 rows that
+    build_index and the queries would refuse: a caller that searches subsets
+    of its rows can name the row in its own terms."""
+    _require_finite(descriptors, what, _sq_norms(descriptors), row_name)
 
 
 def _sq_norms(descriptors: np.ndarray) -> np.ndarray:

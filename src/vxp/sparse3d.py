@@ -91,7 +91,7 @@ def vfe_encode(grid: VoxelGrid, params: VFEParams) -> SparseFeatureMap:
         raise EmptyGrid("voxel grid has no voxels")
 
     seg_ids = np.repeat(np.arange(t), grid.valid_counts)
-    h = ad.relu(ad.add_rowvec(ad.matmul(Tensor(grid.points), params.w1), params.b1))
+    h = ad.linear_relu(Tensor(grid.points), params.w1, params.b1)
     pooled = ad.segment_max(h, seg_ids, t)
 
     cfg = grid.config

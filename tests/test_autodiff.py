@@ -25,6 +25,13 @@ def test_matmul_hand_computed():
 def test_relu_definition():
     out = ad.relu(ad.Tensor([-1.0, 0.0, 2.0]))
     assert np.array_equal(out.values, [0.0, 0.0, 2.0])
+    # every x <= 0 gives +0.0, signed zero and -inf included
+    for dtype in (np.float64, np.float32):
+        with ad.precision(dtype):
+            out = ad.relu(ad.Tensor([-1.0, -0.0, -np.inf]))
+        assert out.values.dtype == dtype
+        assert np.array_equal(out.values, [0.0, 0.0, 0.0])
+        assert not np.signbit(out.values).any()
 
 
 def test_backward_mean_square():
@@ -41,6 +48,44 @@ def test_backward_relu_subgradient_at_negative():
         loss = ad.tsum(ad.relu(x))
         tape.backward(loss)
     assert np.array_equal(x.grad, [0.0])
+
+
+def test_backward_sets_grad_on_leaves_only():
+    x = ad.Tensor([1.5, -2.0], requires_grad=True)
+    w = ad.Tensor([0.5, 3.0], requires_grad=True)
+    with ad.Tape() as tape:
+        y = ad.mul(x, w)
+        z = ad.add(y, ad.smul(x, 2.0))  # x is used twice
+        loss = ad.tsum(ad.mul(z, z))
+        tape.backward(loss)
+    assert y.grad is None and z.grad is None and loss.grad is None
+    zv = x.values * w.values + 2.0 * x.values
+    # d/dx of (x w + 2x)^2 summed over the two paths in reverse tape order
+    assert x.grad.tobytes() == (2.0 * zv * 2.0 + 2.0 * zv * w.values).tobytes()
+    assert w.grad.tobytes() == (2.0 * zv * x.values).tobytes()
+    assert len(tape.entries) == 5  # the walk leaves the tape as it was
+
+
+def test_backward_frees_each_gradient_after_use():
+    import tracemalloc
+
+    x = ad.Tensor(np.linspace(0.5, 1.5, 10 ** 5), requires_grad=True)
+    ops = (lambda t: ad.smul(t, 1.01), lambda t: ad.add_scalar(t, 0.5), ad.relu,
+           ad.absolute)
+    with ad.Tape() as tape:
+        y = x
+        for i in range(16):
+            y = ops[i % 4](y)
+        loss = ad.tsum(y)
+        # only what the backward allocates is traced, not the forward's arrays
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * x.values.nbytes
+    assert x.grad.tobytes() == np.full(x.shape, 1.01 ** 4).tobytes()
 
 
 def test_backward_not_scalar():
@@ -130,6 +175,12 @@ PRIMITIVES = [
     ("cmul", lambda t, c: ad.tsum(ad.cmul(t, c)), (4, 3)),
     ("matmul", lambda t, c: oracles.l2norm(ad.matmul(t, ad.Tensor(c.T))), (4, 3)),
     ("relu", lambda t, c: ad.tsum(ad.relu(t)), (4, 3)),
+    ("linear_relu_a", lambda t, c: oracles.l2norm(
+        ad.linear_relu(t, ad.Tensor(c.T), ad.Tensor(c[:, 0]))), (4, 3)),
+    ("linear_relu_w", lambda t, c: oracles.l2norm(
+        ad.linear_relu(ad.Tensor(c), t, ad.Tensor(c[0]))), (3, 3)),
+    ("linear_relu_b", lambda t, c: oracles.l2norm(
+        ad.linear_relu(ad.Tensor(c.T), ad.Tensor(c), ad.reshape(t, (4,)))), (1, 4)),
     ("power2", lambda t, c: ad.tsum(ad.power(t, 2.0)), (4, 3)),
     ("mean", lambda t, c: ad.smul(ad.tsum(t), 1.0 / t.size), (4, 3)),
     ("sum_axis0", lambda t, c: oracles.l2norm(ad.tsum(t, axis=0)), (4, 3)),
@@ -406,3 +457,39 @@ def test_matmul_gives_no_gradient_to_operands_without_requires_grad():
     # requires_grad is read when the gradient is taken, as Tape.backward does
     weight.requires_grad = False
     assert entry.grad_fn(g) == (None, None)
+
+
+def test_linear_relu_matches_matmul_add_rowvec_relu():
+    # small integers with signed zeros make exact-zero pre-activations common
+    chain = lambda a, w, b: ad.relu(ad.add_rowvec(ad.matmul(a, w), b))
+    for dtype in (np.float64, np.float32):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n, k, d = (int(v) for v in rng.integers(1, 9, size=3))
+            arrays = [_values(rng, (n, k), seed), _values(rng, (k, d), seed),
+                      _values(rng, (d,), seed)]
+            g = _values(rng, (n, d), seed)
+            assert _grad_bytes(ad.linear_relu, arrays, g, dtype) == \
+                _grad_bytes(chain, arrays, g, dtype)
+
+
+def test_linear_relu_gives_no_gradient_to_an_input_without_requires_grad():
+    rng = np.random.default_rng(6)
+    a = ad.Tensor(rng.normal(size=(5, 3)))
+    w = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=4), requires_grad=True)
+    with ad.Tape() as tape:
+        out = ad.linear_relu(a, w, b)
+        tape.backward(ad.tsum(out))
+    assert a.grad is None
+    assert w.grad is not None and b.grad is not None
+    assert tape.entries[0].grad_fn(np.ones(out.shape))[0] is None
+
+
+def test_linear_relu_shapes_checked():
+    with pytest.raises(ShapeMismatch):
+        ad.linear_relu(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))),
+                       ad.Tensor(np.ones(3)))
+    with pytest.raises(ShapeMismatch):
+        ad.linear_relu(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 4))),
+                       ad.Tensor(np.ones(3)))

@@ -3,9 +3,9 @@ thread count.
 
 A tiny synth -> stage 1/2/3 -> extract -> eval runs in two fresh
 interpreters, with OPENBLAS_NUM_THREADS set to 1 and to 2 before numpy loads.
-Both must write the same checkpoints, descriptor files and recall CSVs, byte
-for byte, so neither the training GEMMs nor the float32 shortlist GEMM of
-the search reaches an output.
+Both must write the same checkpoints, loss histories, descriptor files and
+recall CSVs, byte for byte, so neither the training GEMMs nor the float32
+shortlist GEMM of the search reaches an output.
 """
 
 import hashlib
@@ -56,8 +56,9 @@ try:
 except (IndexError, OSError, AttributeError):
     threads = -1
 print("threads", threads)
-for name in ("stage1.vxpc", "stage2.vxpc", "stage3.vxpc", "2d.vxpd", "3d.vxpd",
-             "plain.csv", "plain.csv.curve.csv", "oxford.csv"):
+for name in ("stage1.vxpc", "stage2.vxpc", "stage3.vxpc",
+             "stage1.vxpc.loss.csv", "stage2.vxpc.loss.csv", "stage3.vxpc.loss.csv",
+             "2d.vxpd", "3d.vxpd", "plain.csv", "plain.csv.curve.csv", "oxford.csv"):
     print("sha256", name, hashlib.sha256((root / name).read_bytes()).hexdigest())
 """
 
@@ -83,5 +84,5 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         assert int(next(line for line in lines if line.startswith("threads "))[8:]) in (
             -1, threads)
         outputs[threads] = [line for line in lines if line.startswith("sha256 ")]
-    assert len(outputs[1]) == 8
+    assert len(outputs[1]) == 11
     assert outputs[1] == outputs[2]

@@ -454,6 +454,26 @@ def test_eval_never_mutates_inputs(tiny_pipeline, tmp_path):
     assert Path(tiny_pipeline["v2d"]).read_bytes() == before
 
 
+@pytest.mark.parametrize("protocol", ["plain", "oxford"])
+def test_eval_names_the_record_over_the_search_limit(tiny_pipeline, tmp_path, capsys,
+                                                     protocol):
+    # 1e30 is finite as float32, so the reader accepts it, but its squared
+    # norm is above 2^120; oxford searches one run's subset at a time
+    ids, descs = dataio.read_descriptors(tiny_pipeline["v3d"])
+    descs[5, 0] = 1e30
+    bad = tmp_path / "pc.vxpd"
+    dataio.write_descriptors(bad, ids, descs)
+    out = tmp_path / "res.csv"
+    code = run(["eval", "--query", tiny_pipeline["v2d"], "--db", str(bad),
+                "--query-manifest", tiny_pipeline["manifest"],
+                "--db-manifest", tiny_pipeline["manifest"],
+                "--protocol", protocol, "--recall", "1", "--out", str(out)])
+    assert code == 1
+    assert (f"error: {bad}: record 5 (id {int(ids[5])}) has squared norm"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_extract_deterministic(tiny_pipeline, tmp_path):
     again = tmp_path / "again.vxpd"
     assert run(["extract", "--modality", "3d", "--ckpt", tiny_pipeline["ck"][2],
