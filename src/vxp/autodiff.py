@@ -299,6 +299,13 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _finish(a.values.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
+def stack_rows(rows: Sequence[Tensor]) -> Tensor:
+    """An (n, d) matrix whose row i is the length-d vector rows[i]."""
+    if not rows or any(r.values.ndim != 1 or r.shape != rows[0].shape for r in rows):
+        raise ShapeMismatch(f"stack_rows: {[r.shape for r in rows]}")
+    return _finish(np.stack([r.values for r in rows]), rows, tuple)
+
+
 def add_rowvec(a: Tensor, row: Tensor) -> Tensor:
     """Add a length-d row vector to every row of an (n, d) matrix."""
     if a.values.ndim != 2 or row.values.ndim != 1 or a.shape[1] != row.shape[0]:

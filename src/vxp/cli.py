@@ -22,7 +22,7 @@ import numpy as np
 from . import constants, heads, retrieval, trainer
 from . import dataio
 from .errors import VxpError
-from .geometry import default_grid_config
+from .geometry import default_grid_config, voxelize
 from .synthetic import SyntheticSceneParams, synthetic_training_set
 from .trainer import StageConfig
 
@@ -197,28 +197,28 @@ def cmd_extract(args: argparse.Namespace) -> int:
     rows = dataio.parse_manifest(args.manifest)
     base = Path(args.manifest).parent
 
-    descriptors = []
     if args.modality == "2d":
         with _located_in(args.ckpt):
             encoder, head = trainer.image_branch_from(params)
         images = (dataio.load_image_raw(base / row.image_path) for row in rows)
-        for batch in heads.image_batches(images):
-            descriptors.extend(heads.encode_images(batch, encoder, head).values)
+        descriptors = np.concatenate([heads.encode_images(batch, encoder, head).values
+                                      for batch in heads.image_batches(images)])
     else:
         with _located_in(args.ckpt):
             trainer.require_groups(params, ["pc.backbone.", "pc.head."], "extract 3d")
             backbone = trainer.backbone_from(params)
             head = trainer.pc_head_from(params)
         voxel_config = default_grid_config()
-        for row in rows:
-            cloud = dataio.load_point_cloud_bin(base / row.cloud_path)
-            cloud.sample_id = row.sample_id
-            _, desc = heads.point_cloud_encode(
-                cloud, backbone, head, voxel_config,
-                trainer.sample_voxel_seed(row.sample_id, seed))
-            descriptors.append(desc.numpy())
+
+        def grids():  # one cloud loaded at a time
+            for row in rows:
+                cloud = dataio.load_point_cloud_bin(base / row.cloud_path)
+                cloud.sample_id = row.sample_id
+                yield voxelize(cloud, voxel_config,
+                               trainer.sample_voxel_seed(row.sample_id, seed)), None
+        descriptors = heads.encode_clouds(grids(), backbone, head).values
     ids = np.arange(len(rows), dtype=np.uint64)  # manifest row ordinals
-    dataio.write_descriptors(args.out, ids, np.asarray(descriptors))
+    dataio.write_descriptors(args.out, ids, descriptors)
     print(f"extracted {len(rows)} {args.modality} descriptors to {args.out}")
     return 0
 

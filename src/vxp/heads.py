@@ -27,7 +27,7 @@ from . import autodiff as ad
 from . import constants
 from .autodiff import Tensor
 from .errors import EmptyInput, NonPositiveP, ShapeMismatch, TooSmall
-from .geometry import PointCloud, VoxelGridConfig, voxelize
+from .geometry import PointCloud, VoxelGrid, VoxelGridConfig, voxelize
 from .sparse3d import BackboneParams, BackbonePlans, SparseFeatureMap, point_cloud_backbone
 
 GEM_EPS = 1e-12
@@ -46,13 +46,9 @@ class ImageFeatureMap:
 
 @dataclass
 class GlobalDescriptor:
-    vector: Tensor  # (descriptor_dim,)
+    vector: Tensor  # (descriptor_dim,), or (B, descriptor_dim) for B pooled rows
     source_modality: str  # "image" | "point_cloud"
     sample_id: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
 
     def numpy(self) -> np.ndarray:
         return self.vector.values
@@ -209,12 +205,14 @@ def _gem_root(mean_pow: Tensor, p: Tensor) -> Tensor:
 
 def fcn_project(pooled: Tensor, params: GemFcnParams, modality: str,
                 sample_id: str = "") -> GlobalDescriptor:
-    """Affine map of a pooled feature vector to the descriptor space."""
-    if pooled.shape != (params.fc_w.shape[0],):
+    """Affine map of a pooled (F,) vector, or of (B, F) pooled rows in one
+    product, to the descriptor space: the FC of both branches."""
+    width = params.fc_w.shape[0]
+    if pooled.values.ndim not in (1, 2) or pooled.shape[-1] != width:
         raise ShapeMismatch(f"pooled {pooled.shape} vs fc {params.fc_w.shape}")
-    out = ad.add_rowvec(ad.matmul(ad.reshape(pooled, (1, -1)), params.fc_w),
+    out = ad.add_rowvec(ad.matmul(ad.reshape(pooled, (-1, width)), params.fc_w),
                         params.fc_b)
-    return GlobalDescriptor(vector=ad.reshape(out, (-1,)),
+    return GlobalDescriptor(vector=ad.reshape(out, (*pooled.shape[:-1], -1)),
                             source_modality=modality, sample_id=sample_id)
 
 
@@ -230,7 +228,17 @@ def encode_images(images: np.ndarray, encoder: ImageEncoderParams,
         feats, ow, oh = encode_image_batch(images, encoder)
         b = images.shape[0]
         pooled = gem_pool_segments(feats, np.repeat(np.arange(b), oh * ow), b, head.p)
-        return ad.add_rowvec(ad.matmul(pooled, head.fc_w), head.fc_b)
+        return fcn_project(pooled, head, "image").vector
+
+
+def encode_clouds(grids: Iterable[tuple[VoxelGrid, BackbonePlans | None]],
+                  backbone: BackboneParams, head: GemFcnParams) -> Tensor:
+    """Descriptors of (grid, plans) pairs -> (B, descriptor_dim), the one voxel
+    path: each grid is GeM-pooled as it arrives, so one feature map is alive
+    at a time, and the pooled rows go through the FC in one product."""
+    pooled = [gem_pool(point_cloud_backbone(grid, backbone, plans).feats, head.p)
+              for grid, plans in grids]
+    return fcn_project(ad.stack_rows(pooled), head, "point_cloud").vector
 
 
 def image_global_descriptor(image: np.ndarray, encoder: ImageEncoderParams,
@@ -246,7 +254,8 @@ def point_cloud_encode(cloud: PointCloud, backbone: BackboneParams,
                        head: GemFcnParams, config: VoxelGridConfig, seed: int,
                        plans: BackbonePlans | None = None,
                        ) -> tuple[SparseFeatureMap, GlobalDescriptor]:
-    """Voxel branch end to end: sparse map for local losses plus descriptor."""
+    """One cloud's sparse map and descriptor, for the benchmark in perfbench/;
+    vxp itself encodes clouds with encode_clouds. Goes with ROADMAP item 7.3."""
     grid = voxelize(cloud, config, seed)
     fmap = point_cloud_backbone(grid, backbone, plans)
     pooled = gem_pool(fmap.feats, head.p)

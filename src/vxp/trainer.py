@@ -18,7 +18,9 @@ was given, never rounded through float32. The image branch also runs in
 float32 at inference: image_branch_from hands it out in TRAIN_DTYPE, and the
 image encoder computes in its weights' dtype. The voxel branch stays float64
 at inference. Stages 2 and 3 batch their image targets as `vxp extract` does,
-so each stage-3 target is bit for bit extract's row on the training manifest.
+so each stage-3 target is bit for bit extract's row on the training manifest;
+stage 3 encodes a batch's clouds with extract's heads.encode_clouds and
+regresses the (B, D) rows under one global loss.
 
 The *_from builders check every checkpoint tensor against its neighbours
 (block widths, bias lengths, the FC head, scalar exponents, conv meta), so a
@@ -445,8 +447,9 @@ class _PreparedSample:
     grid: VoxelGrid
     plans: sparse3d.BackbonePlans
     # stage 2: (projection of the backbone's output sites, image feature map);
-    # stage 3: the frozen image descriptor, extract's row on the training manifest
-    target: tuple[ProjectedFeatureMap, heads.ImageFeatureMap] | Tensor
+    # stage 3: the frozen image descriptor, extract's row on the training
+    # manifest, kept as a plain row until a batch stacks its rows
+    target: tuple[ProjectedFeatureMap, heads.ImageFeatureMap] | np.ndarray
 
 
 def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
@@ -456,10 +459,10 @@ def _prepare_point_samples(dataset: TrainingSet, cfg: StageConfig,
                            ) -> tuple[list[_PreparedSample], int]:
     """Voxelize, plan convolutions and cache the frozen image target per
     sample; returns the usable samples in dataset order and the count skipped."""
-    targets: list[heads.ImageFeatureMap | Tensor] = []
+    targets: list[heads.ImageFeatureMap | np.ndarray] = []
     for images in heads.image_batches(s.image for s in dataset.samples):
         if cfg.stage == "global":
-            targets += map(Tensor, heads.encode_images(images, encoder, image_head).values)
+            targets.extend(heads.encode_images(images, encoder, image_head).values)
         else:
             feats, ow, oh = heads.encode_image_batch(images, encoder)
             targets += (heads.ImageFeatureMap(ow, oh, feats.shape[1], Tensor(rows))
@@ -550,21 +553,22 @@ def _fit_point_branch(dataset: TrainingSet, given: dict[str, Tensor], cfg: Stage
         lr = lr_schedule(epoch, cfg.base_lr, decay=cfg.lr_decay)
         order = rng.permutation(len(prepared))
         for start in range(0, len(order), cfg.batch_size):
+            batch = [prepared[k] for k in order[start:start + cfg.batch_size]]
             clear_grads(params)
             with Tape() as tape:
-                total = None
-                for k in order[start:start + cfg.batch_size]:
-                    prep = prepared[k]
-                    fmap = sparse3d.point_cloud_backbone(prep.grid, backbone, prep.plans)
-                    if cfg.stage == "global":
-                        pooled = heads.gem_pool(fmap.feats, head.p)
-                        desc = heads.fcn_project(pooled, head, "point_cloud")
-                        term = losses.global_descriptor_loss(prep.target, desc.vector)
-                    else:
+                if cfg.stage == "global":
+                    desc = heads.encode_clouds(((p.grid, p.plans) for p in batch),
+                                               backbone, head)
+                    total = losses.global_descriptor_loss(
+                        Tensor(np.stack([p.target for p in batch])), desc)
+                else:
+                    total = None
+                    for prep in batch:
+                        fmap = sparse3d.point_cloud_backbone(prep.grid, backbone, prep.plans)
                         projected, image_map = prep.target
                         term = losses.local_descriptor_loss(projected, fmap.feats,
                                                             image_map)
-                    total = term if total is None else ad.add(total, term)
+                        total = term if total is None else ad.add(total, term)
                 tape.backward(total)
             adam_step(trainable, state, lr)
             history.append((epoch, step, float(total.values)))

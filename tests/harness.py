@@ -7,7 +7,7 @@ import numpy as np
 
 from vxp import heads, retrieval, trainer
 from vxp.autodiff import Tensor
-from vxp.geometry import default_grid_config
+from vxp.geometry import default_grid_config, voxelize
 from vxp.synthetic import SyntheticSceneParams, synthetic_training_set
 from vxp.trainer import StageConfig, sample_voxel_seed
 
@@ -64,16 +64,11 @@ def extract_descriptors(dataset, params, cfg: ExperimentConfig):
 
     images = np.stack([s.image[..., None] for s in dataset.samples])
     img_desc = heads.encode_images(images, encoder, image_head).values
-    pc_desc, positions, runs = [], [], []
-    for s in dataset.samples:
-        _, d3 = heads.point_cloud_encode(
-            s.cloud, backbone, pc_head, voxel_config,
-            sample_voxel_seed(s.sample_id, cfg.seed))
-        pc_desc.append(d3.numpy())
-        positions.append(s.position)
-        runs.append(s.run_id)
-    return (img_desc, np.asarray(pc_desc),
-            np.asarray(positions), np.asarray(runs))
+    grids = ((voxelize(s.cloud, voxel_config, sample_voxel_seed(s.sample_id, cfg.seed)), None)
+             for s in dataset.samples)
+    pc_desc = heads.encode_clouds(grids, backbone, pc_head).values
+    return (img_desc, pc_desc, np.asarray([s.position for s in dataset.samples]),
+            np.asarray([s.run_id for s in dataset.samples]))
 
 
 def run_experiment(cfg: ExperimentConfig,

@@ -328,3 +328,16 @@ def rulebook_matmul_fancy(a, kernel, rules, num_rows):
         return ga, gk
 
     return ad._finish(out, (a, kernel), grad_fn)
+
+
+def fc_rounding_bound(pooled, fc_w, fc_b):
+    """Elementwise bound on how far two floating-point evaluations of
+    pooled @ fc_w + fc_b (numpy arrays, in pooled's dtype) can differ,
+    whatever their summation orders: each is a sum of F + 1 terms, so it lies
+    within gamma_{F+1} (|pooled| @ |fc_w| + |fc_b|) of the exact value, with
+    gamma_n = n u / (1 - n u) and u half the machine epsilon (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., section 3.1).
+    The bound is worked out in float64."""
+    n_u = (fc_w.shape[0] + 1) * np.finfo(pooled.dtype).eps / 2
+    magnitude = np.abs(pooled.astype(np.float64)) @ np.abs(fc_w.astype(np.float64))
+    return 2 * n_u / (1 - n_u) * (magnitude + np.abs(fc_b.astype(np.float64)))

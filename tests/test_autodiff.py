@@ -188,6 +188,8 @@ PRIMITIVES = [
     ("rownorm", lambda t, c: ad.tsum(ad.rownorm(t)), (4, 3)),
     ("abs", lambda t, c: ad.tsum(ad.absolute(t)), (4, 3)),
     ("reshape", lambda t, c: oracles.l2norm(ad.reshape(t, (3, 4))), (4, 3)),
+    ("stack_rows", lambda t, c: oracles.l2norm(ad.stack_rows(
+        [ad.reshape(t, (3,)), ad.Tensor(c[0]), ad.smul(ad.reshape(t, (3,)), -2.0)])), (1, 3)),
     ("add_rowvec", lambda t, c: ad.tsum(ad.add_rowvec(ad.Tensor(c), ad.reshape(t, (3,)))), (1, 3)),
     ("scale_rows", lambda t, c: ad.tsum(ad.scale_rows(t, c[:, 0])), (4, 3)),
     ("gather", lambda t, c: ad.tsum(ad.gather_rows(t, np.array([0, 2, 2, 1]))), (4, 3)),
@@ -245,6 +247,13 @@ def test_rulebook_matmul_gradients(rules_of):
             ad.Tensor(kernel))
         worst = max(worst, err_x, err_w)
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("rows", [[], [np.ones(3), np.ones(2)], [np.ones((1, 3))]],
+                         ids=["none", "widths_differ", "not_a_vector"])
+def test_stack_rows_shapes_checked(rows):
+    with pytest.raises(ShapeMismatch):
+        ad.stack_rows([ad.Tensor(r) for r in rows])
 
 
 def test_rulebook_matmul_kernel_shape_checked():

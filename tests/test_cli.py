@@ -375,8 +375,8 @@ def test_stage3_targets_are_the_rows_extract_writes(tmp_path, monkeypatch):
     targets = []
     loss = trainer.losses.global_descriptor_loss
 
-    def recording(image_desc, cloud_desc):
-        targets.append(image_desc.values.tobytes())
+    def recording(image_desc, cloud_desc):  # a batch's (B, D) targets
+        targets.extend(row.tobytes() for row in image_desc.values)
         return loss(image_desc, cloud_desc)
 
     monkeypatch.setattr(trainer.losses, "global_descriptor_loss", recording)

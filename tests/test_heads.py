@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import l2norm
+from oracles import fc_rounding_bound, l2norm
 from vxp import autodiff as ad
 from vxp import heads
 from vxp.autodiff import Tensor
 from vxp.errors import EmptyInput, NonPositiveP, ShapeMismatch, TooSmall
-from vxp.geometry import PointCloud, default_grid_config
-from vxp.sparse3d import init_backbone_params
+from vxp.geometry import PointCloud, default_grid_config, voxelize
+from vxp.sparse3d import init_backbone_params, plan_backbone
+from vxp.synthetic import SyntheticSceneParams, generate_synthetic_scene
 
 
 @pytest.fixture
@@ -202,6 +203,25 @@ class TestFcnProject:
         with pytest.raises(ShapeMismatch):
             heads.fcn_project(Tensor(np.zeros(5)), params, "image")
 
+    def test_rows_are_one_product(self, rng):
+        params = heads.init_gem_fcn_params(5, 3, rng)
+        rows = rng.normal(size=(4, 5))
+        desc = heads.fcn_project(Tensor(rows), params, "point_cloud")
+        want = rows @ params.fc_w.values + params.fc_b.values
+        assert desc.vector.shape == (4, 3)
+        assert np.array_equal(desc.numpy(), want)
+        for row, got in zip(rows, desc.numpy()):
+            single = heads.fcn_project(Tensor(row), params, "point_cloud").numpy()
+            assert np.all(np.abs(single - got)
+                          <= fc_rounding_bound(row, params.fc_w.values, params.fc_b.values))
+
+    @pytest.mark.parametrize("shape", [(2, 4, 5), (4, 6), (3,), ()],
+                             ids=["rank3", "rows_too_wide", "vector_too_short", "scalar"])
+    def test_rank_or_width_refused(self, rng, shape):
+        params = heads.init_gem_fcn_params(5, 3, rng)
+        with pytest.raises(ShapeMismatch):
+            heads.fcn_project(Tensor(np.zeros(shape)), params, "image")
+
     def test_gradient_wrt_weights(self, rng):
         pooled = rng.uniform(0.1, 1.0, size=6)
         params = heads.init_gem_fcn_params(6, 4, rng)
@@ -236,7 +256,7 @@ class TestPointCloudEncode:
         large = self.make_cloud(np.random.default_rng(2), n=800)
         _, d_small = heads.point_cloud_encode(small, backbone, head, cfg, seed=0)
         _, d_large = heads.point_cloud_encode(large, backbone, head, cfg, seed=0)
-        assert d_small.dim == d_large.dim == 16
+        assert d_small.vector.shape == d_large.vector.shape == (16,)
 
     def test_duplicated_points_leave_descriptor_unchanged(self, rng):
         # doubling every point preserves voxel occupancy, hence the output
@@ -247,7 +267,6 @@ class TestPointCloudEncode:
         doubled = PointCloud(np.repeat(base.points, 2, axis=0), sample_id="c1")
 
         # voxel occupancy oracle: the voxel sets must agree
-        from vxp.geometry import voxelize
         ga = voxelize(base, cfg, seed=0)
         gb = voxelize(doubled, cfg, seed=0)
         assert np.array_equal(ga.coords, gb.coords)
@@ -255,6 +274,61 @@ class TestPointCloudEncode:
         _, da = heads.point_cloud_encode(base, backbone, head, cfg, seed=0)
         _, db = heads.point_cloud_encode(doubled, backbone, head, cfg, seed=0)
         assert np.allclose(da.numpy(), db.numpy())
+
+
+class TestEncodeClouds:
+    """encode_clouds, the one voxel-descriptor path, on synthetic clouds."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(4)
+        backbone = init_backbone_params(rng, vfe_dim=8, feature_dim=16)
+        head = heads.init_gem_fcn_params(16, 32, rng)
+        params = SyntheticSceneParams(seed=9, points_per_cloud=1024)
+        clouds = [generate_synthetic_scene(params, scene, t).cloud
+                  for scene in range(12) for t in range(2)]
+        return backbone, head, clouds
+
+    def test_rows_match_point_cloud_encode_within_fc_rounding(self, model):
+        """The pooled rows are bit for bit point_cloud_encode's; only the FC
+        product differs (one (24, F) product against 24 one-row products), by
+        at most fc_rounding_bound. On this data the largest difference is a
+        few times 1e-16 in float64."""
+        backbone, head, clouds = model
+        cfg = default_grid_config()
+        got = heads.encode_clouds(((voxelize(c, cfg, 3), None) for c in clouds),
+                                  backbone, head).values
+        assert got.shape == (24, 32)
+        for cloud, row in zip(clouds, got):
+            fmap, desc = heads.point_cloud_encode(cloud, backbone, head, cfg, seed=3)
+            pooled = heads.gem_pool(fmap.feats, head.p).values
+            bound = fc_rounding_bound(pooled, head.fc_w.values, head.fc_b.values)
+            assert np.all(np.abs(row - desc.numpy()) <= bound)
+
+    def test_given_plans_are_used(self, model):
+        backbone, head, clouds = model
+        grids = [voxelize(c, default_grid_config(), 0) for c in clouds[:3]]
+        planned = [(g, plan_backbone(g, backbone)) for g in grids]
+        assert np.array_equal(heads.encode_clouds(planned, backbone, head).values,
+                              heads.encode_clouds([(g, None) for g in grids],
+                                                  backbone, head).values)
+
+    def test_no_grid_refused(self, model):
+        backbone, head, _ = model
+        with pytest.raises(ShapeMismatch):
+            heads.encode_clouds([], backbone, head)
+
+    def test_gradient_wrt_exponent_and_fc(self, model):
+        backbone, _, clouds = model
+        head = heads.init_gem_fcn_params(16, 2, np.random.default_rng(5))
+        pairs = [(voxelize(c, default_grid_config(), 0), None) for c in clouds[:2]]
+
+        def with_head(p=head.p, fc_w=head.fc_w):
+            return l2norm(heads.encode_clouds(pairs, backbone,
+                                              heads.GemFcnParams(p, fc_w, head.fc_b)))
+
+        assert ad.check_gradient(lambda p: with_head(p=p), Tensor(2.3)) < 1e-4
+        assert ad.check_gradient(lambda w: with_head(fc_w=w), head.fc_w) < 1e-4
 
 
 def test_end_to_end_descriptor_gradient(rng):

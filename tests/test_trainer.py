@@ -278,7 +278,7 @@ def test_point_stages_encode_each_image_at_its_own_size(tiny_dataset, stage1, st
             assert (fmap.height, fmap.width) == (oh, ow) == (s.image.shape[0] // 8, 4)
             assert np.allclose(fmap.feats.values, feats.values, rtol=1e-5, atol=1e-6)
         else:
-            assert np.allclose(prep.target.values,
+            assert np.allclose(prep.target,
                                heads.encode_images(image, encoder, head).values[0],
                                rtol=1e-5, atol=1e-6)
     if stage == "local":
