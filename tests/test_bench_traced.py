@@ -4,7 +4,7 @@ A traced run (`perfbench/run.py --trace 1`) fails a span on its workload's
 REQUIRED_ON list that records no calls, besides every oracle check of the
 plain run; a refactor that routes a layer around the function a span wraps
 would otherwise only fail in a benchmark run. Each workload runs one pass
-(`--seconds 0`) in a scratch directory holding a link to `src`, so the work
+(`--seconds 0`) in a temporary directory holding a link to `src`, so the work
 and trace files the run leaves stay out of the checkout.
 """
 
