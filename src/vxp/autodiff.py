@@ -194,17 +194,19 @@ def add_scalar(a: Tensor, s: float) -> Tensor:
     return _finish(a.values + float(s), (a,), lambda g: (g,))
 
 
-def cmul(a: Tensor, const: np.ndarray) -> Tensor:
-    """Elementwise multiply by a constant (non-differentiated) array."""
-    const = np.asarray(const, dtype=a.values.dtype)
-    if const.shape != a.shape:
-        raise ShapeMismatch(f"cmul: {a.shape} vs {const.shape}")
-    return _finish(a.values * const, (a,), lambda g: (g * const,))
-
-
-def absolute(a: Tensor) -> Tensor:
-    sign = np.sign(a.values)
-    return _finish(np.abs(a.values), (a,), lambda g: (g * sign,))
+def smooth_l1(a: Tensor, beta: float) -> Tensor:
+    """Elementwise smooth-L1 with transition beta: 0.5 a^2 / beta where
+    |a| < beta, else |a| - beta / 2; the gradient is a / beta clipped to
+    [-1, 1]. For a power-of-two beta it equals bit for bit the six-op
+    composition tests/oracles.smooth_l1_composed, except where that multiplies
+    inf by a 0 mask (NaN there; here |a| - beta / 2 where a * a overflows, and
+    gradient +-g at an infinite a) and in the sign of a zero gradient at -0.0.
+    """
+    beta = float(beta)
+    av = a.values
+    size = np.abs(av)
+    out = np.where(size < beta, av * av * (0.5 / beta), size - 0.5 * beta)
+    return _finish(out, (a,), lambda g: (g * np.clip(av / beta, -1.0, 1.0),))
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
@@ -348,18 +350,13 @@ def rownorm(a: Tensor) -> Tensor:
 # --- indexed row movement (shared by convolutions and losses) ---
 
 def _scatter_add_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Rows of g accumulated into an (n, d) buffer at idx (repeats summed),
-    returned in g's dtype."""
+    """Rows of g summed into an (n, d) buffer at idx, returned in g's dtype.
+    bincount sums in float64 and row order, so a float32 gradient's bits do
+    not depend on how many rows the gather has."""
     d = g.shape[1] if g.ndim == 2 else 1
-    if g.size > 4096:
-        # bincount is much faster than ufunc.at for large gathers; it always
-        # accumulates in float64
-        flat = (idx[:, None] * d + np.arange(d)).ravel()
-        out = np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
-        return out.astype(g.dtype, copy=False)
-    buf = np.zeros((n, d), dtype=g.dtype)
-    np.add.at(buf, idx, g)
-    return buf
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
+    return out.astype(g.dtype, copy=False)
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:

@@ -179,8 +179,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 @contextlib.contextmanager
 def _located_in(path):
-    """A VxpError raised in the block (a checkpoint lacking a tensor, or
-    holding one of the wrong shape) names the file it came from."""
+    """A VxpError raised in the block (a checkpoint lacking a tensor or
+    holding one of the wrong shape, a cloud with no point in the crop box)
+    names the file it came from."""
     try:
         yield
     except VxpError as exc:
@@ -212,10 +213,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
         def grids():  # one cloud loaded at a time
             for row in rows:
-                cloud = dataio.load_point_cloud_bin(base / row.cloud_path)
+                path = base / row.cloud_path
+                cloud = dataio.load_point_cloud_bin(path)
                 cloud.sample_id = row.sample_id
-                yield voxelize(cloud, voxel_config,
-                               trainer.sample_voxel_seed(row.sample_id, seed)), None
+                with _located_in(path):  # voxelize's errors do not name the file
+                    grid = voxelize(cloud, voxel_config,
+                                    trainer.sample_voxel_seed(row.sample_id, seed))
+                yield grid, None
         descriptors = heads.encode_clouds(grids(), backbone, head).values
     ids = np.arange(len(rows), dtype=np.uint64)  # manifest row ordinals
     dataio.write_descriptors(args.out, ids, descriptors)

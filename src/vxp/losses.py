@@ -113,20 +113,10 @@ def zero_triplet_expansion(zero_count: int, batch_size: int) -> int:
     return batch_size
 
 
-def _huber_elements(x: Tensor) -> Tensor:
-    """Elementwise smooth-L1: 0.5 x^2/beta below beta, |x| - beta/2 above,
-    with beta = SMOOTH_L1_BETA."""
-    beta = constants.SMOOTH_L1_BETA
-    absx = ad.absolute(x)
-    quad_region = (absx.values < beta).astype(absx.values.dtype)
-    quad = ad.smul(ad.mul(x, x), 0.5 / beta)
-    lin = ad.add_scalar(absx, -0.5 * beta)
-    return ad.add(ad.cmul(quad, quad_region), ad.cmul(lin, 1.0 - quad_region))
-
-
 def smooth_l1(x: Tensor) -> Tensor:
-    """Smooth-L1 applied elementwise and summed over all elements."""
-    return ad.tsum(_huber_elements(x))
+    """Smooth-L1 with beta = SMOOTH_L1_BETA applied elementwise and summed
+    over all elements."""
+    return ad.tsum(ad.smooth_l1(x, constants.SMOOTH_L1_BETA))
 
 
 def local_descriptor_loss(projected: ProjectedFeatureMap, voxel_feats: Tensor,
@@ -150,7 +140,8 @@ def local_descriptor_loss(projected: ProjectedFeatureMap, voxel_feats: Tensor,
     np.add.at(totals, flat, projected.inverse_depth)
     weights = projected.inverse_depth / totals[flat]
     residual = ad.sub(v_feats, i_feats)
-    return ad.tsum(ad.scale_rows(_huber_elements(residual), weights))
+    return ad.tsum(ad.scale_rows(ad.smooth_l1(residual, constants.SMOOTH_L1_BETA),
+                                 weights))
 
 
 def global_descriptor_loss(image_desc: Tensor, cloud_desc: Tensor) -> Tensor:

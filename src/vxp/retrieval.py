@@ -75,13 +75,13 @@ class RetrievalIndex:
         return self.descriptors.shape[1]
 
     @cached_property
-    def float32_operands(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only float32 copies of descriptors and sq_norms, the operands
-        of the shortlist keys, made on first query."""
+    def float32_operands(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Read-only float32 copies of descriptors and sq_norms, the shortlist
+        keys' operands, and the largest squared norm; made on first query."""
         copies = self.descriptors.astype(np.float32), self.sq_norms.astype(np.float32)
         for a in copies:
             a.setflags(write=False)
-        return copies
+        return *copies, float(self.sq_norms.max())
 
 
 @dataclass
@@ -203,7 +203,7 @@ def _shortlist(index: RetrievalIndex, queries32: np.ndarray, q_sq: np.ndarray,
     smallest keeps every row of the exact top c. Squared norms of at most
     2^120 keep every float32 step finite.
     """
-    desc32, sq_norms32 = index.float32_operands
+    desc32, sq_norms32, max_sq_norm = index.float32_operands
     keys = queries32 @ desc32.T
     keys *= -2.0
     keys += q_sq.astype(np.float32)[:, None]
@@ -211,7 +211,7 @@ def _shortlist(index: RetrievalIndex, queries32: np.ndarray, q_sq: np.ndarray,
     d, u = index.dim, 2.0 ** -24
     gamma = d * u / (1.0 - d * u)
     relative = (gamma + 10 * u) * (1 + gamma) + (3 * d + 14) * 2.0 ** -53
-    slack = 2.0 * relative * (q_sq + index.sq_norms.max()) \
+    slack = 2.0 * relative * (q_sq + max_sq_norm) \
         + 2.0 * (d + 1) * (1 + gamma) * 2.0 ** -149
     if mask is not None:
         keys[~mask] = np.inf

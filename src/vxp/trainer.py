@@ -92,6 +92,10 @@ class StageConfig:
             value = getattr(self, name)  # a count, a width or a tuple of widths
             if value is not None and min(np.ravel(value), default=1) < 1:
                 raise ValueError(f"{name} must be >= 1, not {value!r}")
+        width = self.conv_channels[-1] if self.conv_channels else self.vfe_dim
+        if self.conv_channels is not None and width != self.feature_dim:
+            raise ValueError(f"conv_channels must be widths ending in feature_dim "
+                             f"{self.feature_dim}, not {self.conv_channels!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed!r}")
         if self.projection not in PROJECTIONS:

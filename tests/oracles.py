@@ -4,8 +4,9 @@ Everything here is written from first principles with scalar math or plain
 dense numpy, deliberately sharing no code with the package under test. The
 exceptions are sparse_conv3d, the plan-then-apply composition that tests
 use as a one-call sparse convolution (it is checked against dense_conv3d),
-and the autodiff ops l2norm, the gradient suite's scalarizer, and the
-row-op references segment_max_reduceat, segment_sum_reduceat,
+and the autodiff ops l2norm, the gradient suite's scalarizer,
+smooth_l1_composed, the composition ad.smooth_l1 must match bit for bit, and
+the row-op references segment_max_reduceat, segment_sum_reduceat,
 gather_rows_fancy and rulebook_matmul_fancy (the last two move rows with
 fancy indexing and indexed +=, the spelling the library's take-based ops
 must match bit for bit).
@@ -289,6 +290,19 @@ def l2norm(a):
     av = a.values
     denom = n if n > 0.0 else 1.0
     return ad._finish(np.asarray(n, dtype=av.dtype), (a,), lambda g: (g * av / denom,))
+
+
+def smooth_l1_composed(x, beta):
+    """Elementwise smooth-L1 from six recorded ops: |x| (gradient sign(x)),
+    0.5 x * x / beta and |x| - beta / 2, each branch multiplied by a constant
+    0/1 mask of its region and the two products added."""
+    sign = np.sign(x.values)
+    absx = ad._finish(np.abs(x.values), (x,), lambda g: (g * sign,))
+    quad_region = (absx.values < beta).astype(absx.values.dtype)
+    quad = ad.smul(ad.mul(x, x), 0.5 / beta)
+    lin = ad.add_scalar(absx, -0.5 * beta)
+    return ad.add(ad.mul(quad, ad.Tensor(quad_region)),
+                  ad.mul(lin, ad.Tensor(1.0 - quad_region)))
 
 
 def segment_sum_reduceat(a, segment_ids, num_segments):

@@ -70,8 +70,9 @@ def test_backward_frees_each_gradient_after_use():
     import tracemalloc
 
     x = ad.Tensor(np.linspace(0.5, 1.5, 10 ** 5), requires_grad=True)
+    # every smooth_l1 input exceeds its beta, so its gradient is 1
     ops = (lambda t: ad.smul(t, 1.01), lambda t: ad.add_scalar(t, 0.5), ad.relu,
-           ad.absolute)
+           lambda t: ad.smooth_l1(t, 0.5))
     with ad.Tape() as tape:
         y = x
         for i in range(16):
@@ -172,7 +173,6 @@ PRIMITIVES = [
     ("sub", lambda t, c: ad.tsum(ad.sub(ad.Tensor(c), t)), (4, 3)),
     ("mul", lambda t, c: ad.tsum(ad.mul(t, ad.Tensor(c))), (4, 3)),
     ("smul", lambda t, c: ad.tsum(ad.smul(t, 2.5)), (4, 3)),
-    ("cmul", lambda t, c: ad.tsum(ad.cmul(t, c)), (4, 3)),
     ("matmul", lambda t, c: oracles.l2norm(ad.matmul(t, ad.Tensor(c.T))), (4, 3)),
     ("relu", lambda t, c: ad.tsum(ad.relu(t)), (4, 3)),
     ("linear_relu_a", lambda t, c: oracles.l2norm(
@@ -186,7 +186,7 @@ PRIMITIVES = [
     ("sum_axis0", lambda t, c: oracles.l2norm(ad.tsum(t, axis=0)), (4, 3)),
     ("l2norm", lambda t, c: oracles.l2norm(t), (4, 3)),
     ("rownorm", lambda t, c: ad.tsum(ad.rownorm(t)), (4, 3)),
-    ("abs", lambda t, c: ad.tsum(ad.absolute(t)), (4, 3)),
+    ("smooth_l1", lambda t, c: oracles.l2norm(ad.smooth_l1(t, 1.0)), (4, 3)),
     ("reshape", lambda t, c: oracles.l2norm(ad.reshape(t, (3, 4))), (4, 3)),
     ("stack_rows", lambda t, c: oracles.l2norm(ad.stack_rows(
         [ad.reshape(t, (3,)), ad.Tensor(c[0]), ad.smul(ad.reshape(t, (3,)), -2.0)])), (1, 3)),
@@ -298,7 +298,7 @@ def test_patches_3x3_s2_match_row_gather(b, h, w, c):
     probe = ad.Tensor(x, requires_grad=True)
     with ad.Tape() as tape:
         out = ad.patches_3x3_s2(probe, b, h, w)
-        tape.backward(ad.tsum(ad.cmul(out, g)))
+        tape.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
     assert out.values.tobytes() == want.tobytes()
     assert probe.grad.tobytes() == want_backward(g).tobytes()
 
@@ -307,7 +307,7 @@ def test_patches_3x3_s2_gradient_odd_extents():
     rng = np.random.default_rng(4)
     const = rng.normal(size=(2 * 2 * 3, 9 * 2))
     err = ad.check_gradient(
-        lambda t: oracles.l2norm(ad.cmul(ad.patches_3x3_s2(t, 2, 5, 7), const)),
+        lambda t: oracles.l2norm(ad.mul(ad.patches_3x3_s2(t, 2, 5, 7), ad.Tensor(const))),
         ad.Tensor(rng.normal(size=(2 * 5 * 7, 2))))
     assert err < 1e-6
 
@@ -328,7 +328,7 @@ def test_precision_sets_tensor_dtype_and_restores_after_exception():
     assert ad.Tensor([1.0]).values.dtype == np.float64
 
 
-@pytest.mark.parametrize("repeats", [2, 400], ids=["add_at", "bincount"])
+@pytest.mark.parametrize("repeats", [2, 400], ids=["8_rows", "1600_rows"])
 def test_float32_gather_and_scale_stay_float32(repeats):
     rng = np.random.default_rng(2)
     with ad.precision(np.float32):
@@ -340,6 +340,63 @@ def test_float32_gather_and_scale_stay_float32(repeats):
         assert entry.output.values.dtype == np.float32
         (grad,) = entry.grad_fn(np.ones_like(entry.output.values))
         assert grad.dtype == np.float32
+
+
+def test_float32_gather_gradient_bits_do_not_depend_on_its_size():
+    # 1,024 rows of width 4 (4,096 values) gathered from 8 rows, each about
+    # 128 times; 64 more rows (256 values) from a ninth row leave the
+    # gradient of the first eight as it was
+    rng = np.random.default_rng(8)
+    idx = np.concatenate([rng.integers(0, 8, size=1024), np.full(64, 8)])
+    g = rng.normal(size=(idx.size, 4))
+    grads = []
+    for m in (1024, 1088):
+        with ad.precision(np.float32):
+            x = ad.Tensor(np.zeros((9, 4)), requires_grad=True)
+            with ad.Tape() as tape:
+                out = ad.gather_rows(x, idx[:m])
+                tape.backward(ad.tsum(ad.mul(out, ad.Tensor(g[:m]))))
+        grads.append(x.grad[:8].tobytes())
+    assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("beta", [1.0, 0.25, 4.0])
+def test_smooth_l1_matches_its_composition(dtype, beta):
+    # 0, -0.0, +-beta, the floats just inside +-beta, points inside and
+    # outside, large values whose square fits in float32, and random draws
+    inside = np.nextafter(beta, 0.0)
+    rng = np.random.default_rng(int(beta * 4))
+    x = np.concatenate([[0.0, -0.0, beta, -beta, inside, -inside, 0.3 * beta, -0.7 * beta,
+                         1.5 * beta, -3.0 * beta, 1e15, -1e15],
+                        rng.normal(scale=2.0 * beta, size=200)])
+    g = rng.normal(size=x.shape)
+    results = []
+    for op in (ad.smooth_l1, oracles.smooth_l1_composed):
+        with ad.precision(dtype):
+            probe = ad.Tensor(x, requires_grad=True)
+            with ad.Tape() as tape:
+                out = op(probe, beta)
+                tape.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+        assert out.values.dtype == probe.grad.dtype == dtype
+        results.append((out.values, probe.grad))
+    (value, grad), (want_value, want_grad) = results
+    assert value.tobytes() == want_value.tobytes()
+    # at -0.0 the gradient may be a zero of the other sign
+    signed = ~((x == 0.0) & np.signbit(x))
+    assert grad[signed].tobytes() == want_grad[signed].tobytes()
+    assert np.array_equal(grad, want_grad)
+
+
+def test_smooth_l1_is_linear_where_the_square_overflows(monkeypatch):
+    monkeypatch.setattr(ad, "_CHECK_FINITE", False)
+    with ad.precision(np.float32), np.errstate(over="ignore"):
+        x = ad.Tensor([1e30, -np.inf], requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.smooth_l1(x, 1.0)
+            tape.backward(ad.tsum(out))
+    assert np.array_equal(out.values, np.array([1e30 - 0.5, np.inf], dtype=np.float32))
+    assert np.array_equal(x.grad, [1.0, -1.0])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -370,7 +427,7 @@ def test_segment_max_matches_reduceat_oracle(dtype, values):
                 probe = ad.Tensor(x, requires_grad=True)
                 with ad.Tape() as tape:
                     out = op(probe, seg, t)
-                    tape.backward(ad.tsum(ad.cmul(out, g)))
+                    tape.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
                 assert out.values.dtype == probe.grad.dtype == dtype
                 results.append((out.values.tobytes(), probe.grad.tobytes()))
         assert results[0] == results[1]
@@ -383,7 +440,7 @@ def _grad_bytes(op, arrays, g, dtype):
         probes = [ad.Tensor(x, requires_grad=True) for x in arrays]
         with ad.Tape() as tape:
             out = op(*probes)
-            tape.backward(ad.tsum(ad.cmul(out, g)))
+            tape.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
     assert out.values.dtype == dtype
     return [out.values.tobytes()] + [p.grad.tobytes() for p in probes]
 
@@ -423,7 +480,7 @@ def test_rulebook_matmul_matches_fancy_index_oracle(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_gather_rows_matches_fancy_index_oracle(dtype):
-    # repeated indices; the large draws take the bincount scatter-add path
+    # repeated indices, up to 2,000 rows
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = 1 if seed % 5 == 0 else int(rng.integers(1, 30))

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,19 @@ def test_checkpoint_missing_a_tensor_is_named(tiny_pipeline, tmp_path, capsys,
     assert run([*argv, *source, "--manifest", tiny_pipeline["manifest"],
                 "--out", str(out)]) == 1
     assert f"checkpoint lacks tensor {missing!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_3d_names_a_cloud_outside_the_crop_box(tiny_pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(Path(tiny_pipeline["manifest"]).parent, data)
+    cloud = data / dataio.parse_manifest(data / "manifest.csv")[1].cloud_path
+    points = dataio.load_point_cloud_bin(cloud).points
+    dataio.write_point_cloud_bin(cloud, points + [1000.0, 0.0, 0.0])
+    out = tmp_path / "pc.vxpd"
+    assert run(["extract", "--modality", "3d", "--ckpt", tiny_pipeline["ck"][2],
+                "--manifest", str(data / "manifest.csv"), "--out", str(out)]) == 1
+    assert f"error: {cloud}: no point inside the configured range" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -98,6 +98,7 @@ def test_stage_config_rejects_an_unknown_choice(field):
     ("lr_decay", float("inf")), ("descriptor_dim", 0), ("feature_dim", 0), ("vfe_dim", -1),
     ("conv_channels", (8, 0)), ("image_channels", (0, 8)), ("batch_size", 0),
     ("batch_size", -1), ("seed", -1),
+    ("conv_channels", (6, 12)),  # the last width must be feature_dim (8)
 ])
 def test_stage_config_rejects_values_training_cannot_use(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
